@@ -75,13 +75,22 @@ class RunConfig:
     metric: MetricConfig
 
 
+def _parse_bool(value: str) -> bool:
+    v = value.lower()
+    if v in ("1", "true", "yes"):
+        return True
+    if v in ("0", "false", "no"):
+        return False
+    raise ValueError(f"expected 1/true/yes or 0/false/no, got {value!r}")
+
+
 _CONFIG_KEYS = {
     "target_rate": ("preprocess", int),
     "silence_trim_ms": ("preprocess", float),
     "silence_threshold_db": ("preprocess", float),
     "highpass_hz": ("preprocess", float),
     "target_level_dbfs": ("preprocess", lambda v: None if v.lower() in ("none", "off") else float(v)),
-    "cap_long_silence": ("preprocess", lambda v: v.lower() in ("1", "true", "yes")),
+    "cap_long_silence": ("preprocess", _parse_bool),
     "n_fft": ("stft", int),
     "win_length": ("stft", int),
     "hop": ("stft", int),
@@ -124,14 +133,17 @@ def load_run_config(path=None, qc=None, eps=None) -> RunConfig:
     if eps is not None:
         sections["metric"]["eps"] = eps
     try:
-        return RunConfig(
+        run = RunConfig(
             preprocess=PreprocessConfig(**sections["preprocess"]),
             stft=StftConfig(**sections["stft"]),
             mel=MelConfig(**sections["mel"]),
             metric=MetricConfig(**sections["metric"]),
         )
+        # the mel cepstrum has n_mels // 2 + 1 quefrency bins
+        run.metric.resolve_cutoff(run.mel.n_mels // 2 + 1)
     except ValueError as exc:
         raise UsageError(f"invalid configuration: {exc}") from exc
+    return run
 
 
 def read_manifest(path) -> list[ManifestEntry]:
@@ -269,9 +281,10 @@ def _run_pool(worker, payloads, workers: int):
         return list(pool.map(worker, payloads, chunksize=chunk))
 
 
-def _write_error_log(out_dir: Path, failures: list[tuple[str, str]]) -> None:
+def _write_error_log(out_dir: Path, failures: list[tuple[str, ...]]) -> None:
+    """One tab-separated line per failure (key fields, then the message), sorted."""
     if failures:
-        lines = [f"{utt}\t{msg}" for utt, msg in sorted(failures)]
+        lines = ["\t".join(failure) for failure in sorted(failures)]
         (out_dir / "errors.log").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -325,15 +338,18 @@ def cmd_compare(args) -> int:
 def cmd_corpus_stats(args) -> int:
     run = load_run_config(args.config, args.qc, args.eps)
     corpora = []
-    any_failures = False
-    for manifest in (args.manifest_a, args.manifest_b):
+    failures = []
+    for label, manifest in (("a", args.manifest_a), ("b", args.manifest_b)):
         entries = read_manifest(manifest)
         results = _run_pool(_stats_worker, [(e, run, None) for e in entries], args.workers)
-        failures = [(utt, err) for utt, err, _ in results if err is not None]
-        any_failures = any_failures or bool(failures)
-        for utt, err in failures:
-            print(f"error: {utt}: {err}", file=sys.stderr)
+        for utt, err, _ in results:
+            if err is not None:
+                failures.append((label, utt, err))
+                print(f"error: {utt}: {err}", file=sys.stderr)
         corpora.append([rec for _, err, rec in results if err is None])
+    out_dir = Path(args.out).parent
+    out_dir.mkdir(parents=True, exist_ok=True)
+    _write_error_log(out_dir, failures)
     if not corpora[0] or not corpora[1]:
         print("error: no usable entries in one of the manifests", file=sys.stderr)
         return EXIT_PARTIAL
@@ -353,9 +369,8 @@ def cmd_corpus_stats(args) -> int:
             f"{p:.6g}",
         ]
         lines.append(",".join(row))
-    Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return EXIT_PARTIAL if any_failures else EXIT_OK
+    return EXIT_PARTIAL if failures else EXIT_OK
 
 
 def cmd_synthlab(args) -> int:

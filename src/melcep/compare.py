@@ -23,6 +23,9 @@ from .spectral import LogMelSpectrogram
 _NORM_EPS = 1e-12
 # Backpointer codes: predecessor of each DTW cell.
 _DIAG, _UP, _LEFT = 0, 1, 2
+# Elements in one row chunk of the l2 distance temporaries (512 KB of
+# float64, small enough to stay in cache).
+_L2_CHUNK_ELEMS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -140,15 +143,22 @@ class ComparisonReport:
         return json.dumps({f.name: round6(getattr(self, f.name)) for f in fields(self)})
 
 
-def _pairwise_distance(a: np.ndarray, b: np.ndarray, distance: str) -> np.ndarray:
+def _pairwise_distance(a: np.ndarray, b: np.ndarray, distance: str, out: np.ndarray) -> None:
+    """Write the len(a) x len(b) framewise distance matrix into ``out``."""
     if distance == "cosine":
         na = np.linalg.norm(a, axis=1)
         nb = np.linalg.norm(b, axis=1)
         an = a / np.maximum(na, _NORM_EPS)[:, None]
         bn = b / np.maximum(nb, _NORM_EPS)[:, None]
-        return np.maximum(1.0 - an @ bn.T, 0.0)
+        np.maximum(1.0 - an @ bn.T, 0.0, out=out)
+        return
     if distance == "l2":
-        return np.sqrt(np.square(a[:, None, :] - b[None, :, :]).sum(axis=2))
+        # Row chunks bound the rows x len(b) x dims temporary; each entry is
+        # still one contiguous sum over dims, so the bits do not depend on it.
+        rows = max(1, _L2_CHUNK_ELEMS // b.size)
+        for s in range(0, a.shape[0], rows):
+            out[s : s + rows] = np.sqrt(np.square(a[s : s + rows, None, :] - b[None, :, :]).sum(axis=2))
+        return
     raise ValueError(f"unknown distance {distance!r}; expected 'cosine' or 'l2'")
 
 
@@ -162,14 +172,23 @@ def dtw_align(a, b, distance: str = "cosine", band: int | None = None) -> tuple[
     distance : {"cosine", "l2"}
         Framewise distance: 1 - cosine similarity, or the Euclidean norm.
     band : int, optional
-        Sakoe-Chiba band half-width around the rescaled diagonal; cells
-        outside the band are never visited.  None disables the constraint.
+        Sakoe-Chiba band half-width around the rescaled diagonal, widened to
+        at least the length difference; cells outside the band are never
+        visited.  None disables the constraint.
 
     Returns
     -------
     (DtwPath, float)
         The optimal path under steps {(1,0), (0,1), (1,1)} and its total
         cost.  Ties prefer the diagonal predecessor, then the vertical one.
+
+    The cost lattice is swept one anti-diagonal at a time with numpy, each
+    cell getting ``d + min(diag, up, left)`` by the same floating-point
+    operations, in the same order, as a cell-by-cell loop.  Time stays
+    O(n1*n2) with no per-cell Python work.  Memory is one float64 cost
+    lattice and one uint8 backpointer lattice, about 9 bytes per cell; the
+    cosine distance briefly adds its float64 matrix product, and the l2
+    distance is built in row chunks.
     """
     a = np.atleast_2d(np.asarray(a, dtype=np.float64))
     b = np.atleast_2d(np.asarray(b, dtype=np.float64))
@@ -177,53 +196,64 @@ def dtw_align(a, b, distance: str = "cosine", band: int | None = None) -> tuple[
         raise ValueError("empty input")
     if a.shape[1] != b.shape[1]:
         raise ValueError(f"feature dimension mismatch: {a.shape[1]} vs {b.shape[1]}")
-    d = _pairwise_distance(a, b, distance)
-    n1, n2 = d.shape
+    n1, n2 = a.shape[0], b.shape[0]
 
-    window = None
+    # cost[i+1, j+1] holds cell (i, j); row 0 and column 0 are an inf border.
+    cost = np.empty((n1 + 1, n2 + 1))
+    cost[0] = math.inf
+    cost[1:, 0] = math.inf
+    _pairwise_distance(a, b, distance, cost[1:, 1:])
+    steps = np.zeros((n1 + 1, n2 + 1), dtype=np.uint8)
+
+    # Row i visits columns lo[i] <= j < hi[i]; cells outside stay inf.
+    lo = np.zeros(n1, dtype=np.intp)
+    hi = np.full(n1, n2, dtype=np.intp)
     if band is not None:
         window = max(int(band), abs(n1 - n2))
         scale = (n1 - 1) / (n2 - 1) if n1 > 1 and n2 > 1 else 0.0
+        center = np.array([int(round(i / scale)) if scale > 0 else 0 for i in range(n1)], dtype=np.intp)
+        lo = np.maximum(0, center - window)
+        hi = np.minimum(n2, center + window + 1)
+        for i in range(n1):
+            cost[i + 1, 1 : lo[i] + 1] = math.inf
+            cost[i + 1, hi[i] + 1 :] = math.inf
 
-    inf = math.inf
-    dl = d.tolist()
-    cost_prev: list[float] = [inf] * n2
-    cost_row: list[float] = [inf] * n2
-    back = np.zeros((n1, n2), dtype=np.uint8)
-    for i in range(n1):
-        row = dl[i]
-        binds = back[i]
-        lo, hi = 0, n2
-        if window is not None:
-            center = int(round(i / scale)) if scale > 0 else 0
-            lo = max(0, center - window)
-            hi = min(n2, center + window + 1)
-            for j in range(0, lo):
-                cost_row[j] = inf
-            for j in range(hi, n2):
-                cost_row[j] = inf
-        for j in range(lo, hi):
-            if i == 0 and j == 0:
-                cost_row[0] = row[0]
-                continue
-            best = inf
-            step = _DIAG
-            if i > 0 and j > 0:
-                best = cost_prev[j - 1]
-            if i > 0 and cost_prev[j] < best:
-                best = cost_prev[j]
-                step = _UP
-            if j > lo and cost_row[j - 1] < best:
-                best = cost_row[j - 1]
-                step = _LEFT
-            cost_row[j] = row[j] + best
-            binds[j] = step
-        cost_prev, cost_row = cost_row, cost_prev
+    # Both band edges move right as i grows, so the visited cells (i, k-i) of
+    # anti-diagonal k are the rows first[k] <= i < stop[k].
+    rows = np.arange(n1)
+    diagonals = np.arange(1, n1 + n2 - 1)
+    first = np.searchsorted(rows + hi, diagonals, side="right").tolist()
+    stop = np.searchsorted(rows + lo, diagonals, side="right").tolist()
 
-    total = cost_prev[n2 - 1]
+    # Cell (i, k-i) sits at flat offset (i+1)*n2 + k+2, so a diagonal and its
+    # diag, up and left predecessors are all stride-n2 slices of the lattice.
+    flat = cost.reshape(-1)
+    flat_steps = steps.reshape(-1)
+    best_buf = np.empty(min(n1, n2))
+    less_buf = np.empty(min(n1, n2), dtype=bool)
+    for k, i0, i1 in zip(diagonals.tolist(), first, stop):
+        s = (i0 + 1) * n2 + k + 2
+        e = s + (i1 - i0 - 1) * n2 + 1
+        best = best_buf[: i1 - i0]
+        less = less_buf[: i1 - i0]
+        ptr = flat_steps[s:e:n2]
+        np.copyto(best, flat[s - n2 - 2 : e - n2 - 2 : n2])
+        up = flat[s - n2 - 1 : e - n2 - 1 : n2]
+        np.less(up, best, out=less)
+        np.copyto(best, up, where=less)
+        np.copyto(ptr, less)  # _DIAG == 0, _UP == 1
+        left = flat[s - 1 : e - 1 : n2]
+        np.less(left, best, out=less)
+        np.copyto(best, left, where=less)
+        np.copyto(ptr, _LEFT, where=less)
+        cell = flat[s:e:n2]
+        cell += best
+
+    total = cost[n1, n2]
     if not math.isfinite(total):
         raise ValueError("band constraint left no feasible alignment path")
 
+    back = steps[1:, 1:]
     pairs = [(n1 - 1, n2 - 1)]
     i, j = n1 - 1, n2 - 1
     while (i, j) != (0, 0):

@@ -99,6 +99,94 @@ def dtw_enum_min_cost_unpruned(d: np.ndarray) -> float:
     return best[0]
 
 
+def dtw_loop_reference(a, b, distance: str = "cosine", band: int | None = None) -> tuple[np.ndarray, float]:
+    """DTW as a cell-by-cell Python loop: the package's former implementation.
+
+    Same contract as ``melcep.compare.dtw_align`` (steps {(1,0), (0,1),
+    (1,1)}, strict ``<`` so ties prefer diagonal, then up, then left; the
+    Sakoe-Chiba band around the rescaled diagonal), but returns the raw
+    ``(i, j)`` pair array and the total cost.  The distance matrix is built
+    in one broadcast, so it also checks that the package's row-chunked
+    build keeps the bits.
+    """
+    a = np.atleast_2d(np.asarray(a, dtype=np.float64))
+    b = np.atleast_2d(np.asarray(b, dtype=np.float64))
+    if a.size == 0 or b.size == 0:
+        raise ValueError("empty input")
+    if a.shape[1] != b.shape[1]:
+        raise ValueError(f"feature dimension mismatch: {a.shape[1]} vs {b.shape[1]}")
+    if distance == "cosine":
+        na = np.linalg.norm(a, axis=1)
+        nb = np.linalg.norm(b, axis=1)
+        an = a / np.maximum(na, 1e-12)[:, None]
+        bn = b / np.maximum(nb, 1e-12)[:, None]
+        d = np.maximum(1.0 - an @ bn.T, 0.0)
+    elif distance == "l2":
+        d = np.sqrt(np.square(a[:, None, :] - b[None, :, :]).sum(axis=2))
+    else:
+        raise ValueError(f"unknown distance {distance!r}; expected 'cosine' or 'l2'")
+    n1, n2 = d.shape
+    diag_step, up_step, left_step = 0, 1, 2
+
+    window = None
+    if band is not None:
+        window = max(int(band), abs(n1 - n2))
+        scale = (n1 - 1) / (n2 - 1) if n1 > 1 and n2 > 1 else 0.0
+
+    inf = math.inf
+    dl = d.tolist()
+    cost_prev: list[float] = [inf] * n2
+    cost_row: list[float] = [inf] * n2
+    back = np.zeros((n1, n2), dtype=np.uint8)
+    for i in range(n1):
+        row = dl[i]
+        binds = back[i]
+        lo, hi = 0, n2
+        if window is not None:
+            center = int(round(i / scale)) if scale > 0 else 0
+            lo = max(0, center - window)
+            hi = min(n2, center + window + 1)
+            for j in range(0, lo):
+                cost_row[j] = inf
+            for j in range(hi, n2):
+                cost_row[j] = inf
+        for j in range(lo, hi):
+            if i == 0 and j == 0:
+                cost_row[0] = row[0]
+                continue
+            best = inf
+            step = diag_step
+            if i > 0 and j > 0:
+                best = cost_prev[j - 1]
+            if i > 0 and cost_prev[j] < best:
+                best = cost_prev[j]
+                step = up_step
+            if j > lo and cost_row[j - 1] < best:
+                best = cost_row[j - 1]
+                step = left_step
+            cost_row[j] = row[j] + best
+            binds[j] = step
+        cost_prev, cost_row = cost_row, cost_prev
+
+    total = cost_prev[n2 - 1]
+    if not math.isfinite(total):
+        raise ValueError("band constraint left no feasible alignment path")
+
+    pairs = [(n1 - 1, n2 - 1)]
+    i, j = n1 - 1, n2 - 1
+    while (i, j) != (0, 0):
+        step = back[i, j]
+        if step == diag_step and i > 0 and j > 0:
+            i, j = i - 1, j - 1
+        elif step == up_step and i > 0:
+            i -= 1
+        else:
+            j -= 1
+        pairs.append((i, j))
+    pairs.reverse()
+    return np.asarray(pairs, dtype=np.intp), float(total)
+
+
 def mw_exact_p_bruteforce(x, y) -> tuple[float, float]:
     """Mann-Whitney U and exact two-sided p by enumerating rank subsets.
 

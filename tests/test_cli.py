@@ -284,6 +284,56 @@ def test_load_run_config_overrides(tmp_path):
     assert run.metric.eps == 1e-6
 
 
+@pytest.mark.parametrize("command", ["features", "compare", "corpus-stats"])
+def test_out_of_range_qc_is_config_error(corpus, tmp_path, capsys, command):
+    _, manifest, _ = corpus
+    out = tmp_path / "out"
+    if command == "corpus-stats":
+        argv = [command, "--manifest-a", str(manifest), "--manifest-b", str(manifest), "--out", str(out / "s.csv")]
+    else:
+        argv = [command, "--manifest", str(manifest), "--out", str(out)]
+    assert main(argv + ["--qc", "100"]) == 1
+    assert "cutoff_q must be in [1, 41]" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value, expected", [("1", True), ("TRUE", True), ("yes", True), ("0", False), ("False", False), ("NO", False)])
+def test_cap_long_silence_accepts_booleans(tmp_path, value, expected):
+    config = tmp_path / "cfg.txt"
+    config.write_text(f"cap_long_silence = {value}\n")
+    assert load_run_config(config).preprocess.cap_long_silence is expected
+
+
+def test_cap_long_silence_typo_rejected(tmp_path):
+    config = tmp_path / "cfg.txt"
+    config.write_text("n_mels = 80\ncap_long_silence = ture\n")
+    with pytest.raises(UsageError, match="config line 2: bad value for cap_long_silence"):
+        load_run_config(config)
+
+
+def test_corpus_stats_writes_error_log(corpus, tmp_path):
+    _, manifest, rows = corpus
+    missing = {"utterance_id": "zz_missing", "ref_wav": str(tmp_path / "nope.wav")}
+    with_missing = tmp_path / "a.csv"
+    _write_manifest(with_missing, [dict(r) for r in rows] + [missing])
+    out = tmp_path / "stats" / "stats.csv"
+    argv = ["corpus-stats", "--manifest-a", str(with_missing), "--manifest-b", str(manifest), "--out", str(out)]
+    assert main(argv) == 2
+    assert out.exists()
+    lines = (out.parent / "errors.log").read_text().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("a\tzz_missing\t")
+
+    # a manifest with no usable entry still leaves its failures in errors.log
+    only_missing = tmp_path / "b.csv"
+    _write_manifest(only_missing, [missing])
+    out = tmp_path / "stats2" / "stats.csv"
+    argv = ["corpus-stats", "--manifest-a", str(manifest), "--manifest-b", str(only_missing), "--out", str(out)]
+    assert main(argv) == 2
+    assert not out.exists()
+    lines = (out.parent / "errors.log").read_text().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("b\tzz_missing\t")
+
+
 def test_load_run_config_rejects_unknown_key(tmp_path):
     config = tmp_path / "cfg.txt"
     config.write_text("mystery_flag = 1\n")

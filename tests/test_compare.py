@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from melcep.compare import (
     PitchContour,
@@ -19,7 +21,7 @@ from melcep.osmetrics import utterance_metrics
 from melcep.spectral import LogMelSpectrogram
 
 from conftest import speechy_frame
-from oracles import dtw_enum_min_cost, dtw_enum_min_cost_unpruned, pearson_reference
+from oracles import dtw_enum_min_cost, dtw_enum_min_cost_unpruned, dtw_loop_reference, pearson_reference
 
 
 def _mel(frames):
@@ -112,6 +114,56 @@ def test_dtw_band_wide_enough_matches_unbanded(rng):
     _, unbanded = dtw_align(a, b, "l2")
     _, banded = dtw_align(a, b, "l2", band=20)
     assert banded == unbanded
+
+
+def _assert_matches_loop(a, b, dist, band):
+    """dtw_align gives the loop's path and cost, or raises its ValueError."""
+    try:
+        want_pairs, want_cost = dtw_loop_reference(a, b, dist, band)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            dtw_align(a, b, dist, band)
+        assert str(got.value) == str(exc)
+        return
+    path, cost = dtw_align(a, b, dist, band)
+    assert np.array_equal(path.pairs, want_pairs)
+    assert cost == want_cost
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 60),
+    st.integers(1, 60),
+    st.integers(1, 4),
+    st.one_of(st.none(), st.just(0), st.integers(1, 5), st.integers(60, 200)),
+    st.sampled_from(["real", "ties", "nonfinite"]),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_dtw_matches_loop_reference(n1, n2, dims, band, values, seed):
+    # "ties" draws small integers so many lattice cells tie and the tie order
+    # decides the path; "nonfinite" plants NaN/inf distances, which drive the
+    # total non-finite and so exercise the infeasible-path error.
+    rng = np.random.default_rng(seed)
+    if values == "ties":
+        a = rng.integers(0, 3, (n1, dims)).astype(float)
+        b = rng.integers(0, 3, (n2, dims)).astype(float)
+    else:
+        a = rng.normal(0, 1, (n1, dims))
+        b = rng.normal(0, 1, (n2, dims))
+    if values == "nonfinite":
+        a[rng.integers(n1), rng.integers(dims)] = rng.choice([np.nan, np.inf])
+    for dist in ("cosine", "l2"):
+        _assert_matches_loop(a, b, dist, band)
+
+
+@pytest.mark.parametrize("band", [None, 40])
+def test_dtw_matches_loop_reference_large(rng, band):
+    # 400 x 520 frames: the l2 distance spans several row chunks
+    ref = rng.normal(0, 1, (400, 80))
+    syn = rng.normal(0, 1, (520, 80))
+    _assert_matches_loop(ref, syn, "cosine", band)
+    _assert_matches_loop(ref[:, :4], syn[:, :4], "l2", band)
 
 
 def test_dtw_errors():
