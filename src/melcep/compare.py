@@ -21,9 +21,7 @@ from .osmetrics import UtteranceMetrics
 from .spectral import LogMelSpectrogram
 
 _NORM_EPS = 1e-12
-# Backpointer codes: predecessor of each DTW cell.
-_DIAG, _UP, _LEFT = 0, 1, 2
-# Elements in one row chunk of the l2 distance temporaries (512 KB of
+# Elements in one row chunk of the l2 distance temporary (512 KB of
 # float64, small enough to stay in cache).
 _L2_CHUNK_ELEMS = 1 << 16
 
@@ -144,20 +142,37 @@ class ComparisonReport:
 
 
 def _pairwise_distance(a: np.ndarray, b: np.ndarray, distance: str, out: np.ndarray) -> None:
-    """Write the len(a) x len(b) framewise distance matrix into ``out``."""
+    """Write the len(a) x len(b) framewise distance matrix into ``out``.
+
+    Both distances are built in place in ``out``; no other temporary is as
+    large as the matrix.
+    """
     if distance == "cosine":
-        na = np.linalg.norm(a, axis=1)
-        nb = np.linalg.norm(b, axis=1)
-        an = a / np.maximum(na, _NORM_EPS)[:, None]
-        bn = b / np.maximum(nb, _NORM_EPS)[:, None]
-        np.maximum(1.0 - an @ bn.T, 0.0, out=out)
+        an = a / np.maximum(np.linalg.norm(a, axis=1), _NORM_EPS)[:, None]
+        bn = b / np.maximum(np.linalg.norm(b, axis=1), _NORM_EPS)[:, None]
+        np.matmul(an, bn.T, out=out)
+        np.subtract(1.0, out, out=out)
+        np.maximum(out, 0.0, out=out)
         return
     if distance == "l2":
-        # Row chunks bound the rows x len(b) x dims temporary; each entry is
-        # still one contiguous sum over dims, so the bits do not depend on it.
-        rows = max(1, _L2_CHUNK_ELEMS // b.size)
+        # Squared differences are added one dimension at a time, in dimension
+        # order, which are the additions of .sum(axis=2) over the full
+        # (len(a), len(b), dims) difference, without building it.  Row
+        # chunks bound the one rows x len(b) temporary.
+        at = np.ascontiguousarray(a.T)
+        bt = np.ascontiguousarray(b.T)
+        rows = max(1, _L2_CHUNK_ELEMS // b.shape[0])
+        tmp = np.empty((min(rows, a.shape[0]), b.shape[0]))
         for s in range(0, a.shape[0], rows):
-            out[s : s + rows] = np.sqrt(np.square(a[s : s + rows, None, :] - b[None, :, :]).sum(axis=2))
+            acc = out[s : s + rows]
+            sq = tmp[: acc.shape[0]]
+            np.subtract(at[0, s : s + rows, None], bt[0], out=acc)
+            np.square(acc, out=acc)
+            for c in range(1, at.shape[0]):
+                np.subtract(at[c, s : s + rows, None], bt[c], out=sq)
+                np.square(sq, out=sq)
+                np.add(acc, sq, out=acc)
+            np.sqrt(acc, out=acc)
         return
     raise ValueError(f"unknown distance {distance!r}; expected 'cosine' or 'l2'")
 
@@ -168,7 +183,8 @@ def dtw_align(a, b, distance: str = "cosine", band: int | None = None) -> tuple[
     Parameters
     ----------
     a, b : array-like, frames x dims
-        The sequences to align; feature dimensions must match.
+        The sequences to align; feature dimensions must match and every
+        value must be finite.
     distance : {"cosine", "l2"}
         Framewise distance: 1 - cosine similarity, or the Euclidean norm.
     band : int, optional
@@ -182,13 +198,20 @@ def dtw_align(a, b, distance: str = "cosine", band: int | None = None) -> tuple[
         The optimal path under steps {(1,0), (0,1), (1,1)} and its total
         cost.  Ties prefer the diagonal predecessor, then the vertical one.
 
-    The cost lattice is swept one anti-diagonal at a time with numpy, each
-    cell getting ``d + min(diag, up, left)`` by the same floating-point
-    operations, in the same order, as a cell-by-cell loop.  Time stays
-    O(n1*n2) with no per-cell Python work.  Memory is one float64 cost
-    lattice and one uint8 backpointer lattice, about 9 bytes per cell; the
-    cosine distance briefly adds its float64 matrix product, and the l2
-    distance is built in row chunks.
+    Raises
+    ------
+    ValueError
+        On empty, mismatched or non-finite input, an unknown distance, or
+        when every path's cost overflows to infinity (l2 on huge values).
+
+    The cells are swept one anti-diagonal at a time with numpy.  Only three
+    diagonals of accumulated cost are kept, in contiguous buffers, and each
+    cell gets ``d + min(diag, up, left)``.  With finite input every distance
+    and cost lies in [0, inf] (no NaN, no -0.0), so ``np.minimum`` yields
+    the bits of a cell-by-cell loop's strict-``<`` select in the order
+    diag, up, left, and two ``np.less`` masks record its choices.  Time is
+    O(n1*n2) with no per-cell Python work; memory is the float64 distance
+    matrix plus two bool decision arrays, about 10 bytes per cell.
     """
     a = np.atleast_2d(np.asarray(a, dtype=np.float64))
     b = np.atleast_2d(np.asarray(b, dtype=np.float64))
@@ -196,16 +219,13 @@ def dtw_align(a, b, distance: str = "cosine", band: int | None = None) -> tuple[
         raise ValueError("empty input")
     if a.shape[1] != b.shape[1]:
         raise ValueError(f"feature dimension mismatch: {a.shape[1]} vs {b.shape[1]}")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValueError("non-finite input: frames must not contain NaN or inf")
     n1, n2 = a.shape[0], b.shape[0]
+    d = np.empty((n1, n2))
+    _pairwise_distance(a, b, distance, d)
 
-    # cost[i+1, j+1] holds cell (i, j); row 0 and column 0 are an inf border.
-    cost = np.empty((n1 + 1, n2 + 1))
-    cost[0] = math.inf
-    cost[1:, 0] = math.inf
-    _pairwise_distance(a, b, distance, cost[1:, 1:])
-    steps = np.zeros((n1 + 1, n2 + 1), dtype=np.uint8)
-
-    # Row i visits columns lo[i] <= j < hi[i]; cells outside stay inf.
+    # Row i visits columns lo[i] <= j < hi[i].
     lo = np.zeros(n1, dtype=np.intp)
     hi = np.full(n1, n2, dtype=np.intp)
     if band is not None:
@@ -214,56 +234,67 @@ def dtw_align(a, b, distance: str = "cosine", band: int | None = None) -> tuple[
         center = np.array([int(round(i / scale)) if scale > 0 else 0 for i in range(n1)], dtype=np.intp)
         lo = np.maximum(0, center - window)
         hi = np.minimum(n2, center + window + 1)
-        for i in range(n1):
-            cost[i + 1, 1 : lo[i] + 1] = math.inf
-            cost[i + 1, hi[i] + 1 :] = math.inf
 
     # Both band edges move right as i grows, so the visited cells (i, k-i) of
-    # anti-diagonal k are the rows first[k] <= i < stop[k].
+    # anti-diagonal k are the rows first[k] <= i < stop[k], and each bound
+    # moves by at most one row from one diagonal to the next.
     rows = np.arange(n1)
-    diagonals = np.arange(1, n1 + n2 - 1)
-    first = np.searchsorted(rows + hi, diagonals, side="right").tolist()
-    stop = np.searchsorted(rows + lo, diagonals, side="right").tolist()
+    diagonals = np.arange(n1 + n2 - 1)
+    first = np.searchsorted(rows + hi, diagonals, side="right")
+    stop = np.searchsorted(rows + lo, diagonals, side="right")
+    # Decisions of diagonal k's cells, row by row, start at off[k].
+    off = np.zeros(n1 + n2, dtype=np.intp)
+    np.cumsum(stop - first, out=off[1:])
+    first, stop, off = first.tolist(), stop.tolist(), off.tolist()
+    took_up = np.empty(off[-1], dtype=bool)
+    took_left = np.empty(off[-1], dtype=bool)
+    took_up[0] = took_left[0] = False
 
-    # Cell (i, k-i) sits at flat offset (i+1)*n2 + k+2, so a diagonal and its
-    # diag, up and left predecessors are all stride-n2 slices of the lattice.
-    flat = cost.reshape(-1)
-    flat_steps = steps.reshape(-1)
-    best_buf = np.empty(min(n1, n2))
-    less_buf = np.empty(min(n1, n2), dtype=bool)
-    for k, i0, i1 in zip(diagonals.tolist(), first, stop):
-        s = (i0 + 1) * n2 + k + 2
-        e = s + (i1 - i0 - 1) * n2 + 1
-        best = best_buf[: i1 - i0]
-        less = less_buf[: i1 - i0]
-        ptr = flat_steps[s:e:n2]
-        np.copyto(best, flat[s - n2 - 2 : e - n2 - 2 : n2])
-        up = flat[s - n2 - 1 : e - n2 - 1 : n2]
-        np.less(up, best, out=less)
-        np.copyto(best, up, where=less)
-        np.copyto(ptr, less)  # _DIAG == 0, _UP == 1
-        left = flat[s - 1 : e - 1 : n2]
-        np.less(left, best, out=less)
-        np.copyto(best, left, where=less)
-        np.copyto(ptr, _LEFT, where=less)
-        cell = flat[s:e:n2]
-        cell += best
+    # Each buffer holds one diagonal's costs at index row + 1, and cells
+    # outside the band must read inf.  The reads of diagonal k reach one row
+    # past each end of the rows of k-1 and k-2, since the row bounds move by
+    # at most one per diagonal.  Below the rows, a buffer may hold an older
+    # diagonal's cost, so that cell is reset after each write; above them it
+    # still holds its initial inf, because stop never decreases.
+    inf = math.inf
+    prev2, prev, cur = np.full((3, n1 + 2), inf)
+    prev[1] = d[0, 0]
+    # Cell (i, k-i) sits at flat offset i*(n2-1) + k of d.  With n2 == 1
+    # every diagonal has one cell, so the stride is never used.
+    d_flat = d.reshape(-1)
+    stride = max(n2 - 1, 1)
+    for k in range(1, n1 + n2 - 1):
+        i0, i1, o = first[k], stop[k], off[k]
+        n = i1 - i0
+        diag = prev2[i0:i1]
+        up = prev[i0:i1]
+        left = prev[i0 + 1 : i1 + 1]
+        # cur's slot for these rows: the cheapest predecessor, then the cost
+        best = cur[i0 + 1 : i1 + 1]
+        s = i0 * (n2 - 1) + k
+        np.minimum(diag, up, out=best)
+        np.less(up, diag, out=took_up[o : o + n])
+        np.less(left, best, out=took_left[o : o + n])
+        np.minimum(best, left, out=best)
+        np.add(best, d_flat[s : s + n * stride : stride], out=best)
+        cur[i0] = inf
+        prev2, prev, cur = prev, cur, prev2
 
-    total = cost[n1, n2]
+    total = prev[n1]
     if not math.isfinite(total):
-        raise ValueError("band constraint left no feasible alignment path")
+        raise ValueError("every alignment path has infinite cost: the distances or their sums overflow float64")
 
-    back = steps[1:, 1:]
+    # A left decision overrides up, and up overrides diagonal.
     pairs = [(n1 - 1, n2 - 1)]
     i, j = n1 - 1, n2 - 1
-    while (i, j) != (0, 0):
-        step = back[i, j]
-        if step == _DIAG and i > 0 and j > 0:
-            i, j = i - 1, j - 1
-        elif step == _UP and i > 0:
+    while i or j:
+        c = off[i + j] + i - first[i + j]
+        if took_left[c]:
+            j -= 1
+        elif took_up[c]:
             i -= 1
         else:
-            j -= 1
+            i, j = i - 1, j - 1
         pairs.append((i, j))
     pairs.reverse()
     return DtwPath(np.asarray(pairs, dtype=np.intp)), float(total)

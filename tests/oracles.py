@@ -106,8 +106,10 @@ def dtw_loop_reference(a, b, distance: str = "cosine", band: int | None = None) 
     (1,1)}, strict ``<`` so ties prefer diagonal, then up, then left; the
     Sakoe-Chiba band around the rescaled diagonal), but returns the raw
     ``(i, j)`` pair array and the total cost.  The distance matrix is built
-    in one broadcast, so it also checks that the package's row-chunked
-    build keeps the bits.
+    in one broadcast, so it also checks that the package's in-place builds
+    (the cosine product, the l2 sum one dimension at a time) keep the bits.
+    A non-finite total raises; ``dtw_align`` rejects NaN/inf input before
+    that point with its own message.
     """
     a = np.atleast_2d(np.asarray(a, dtype=np.float64))
     b = np.atleast_2d(np.asarray(b, dtype=np.float64))
@@ -170,7 +172,7 @@ def dtw_loop_reference(a, b, distance: str = "cosine", band: int | None = None) 
 
     total = cost_prev[n2 - 1]
     if not math.isfinite(total):
-        raise ValueError("band constraint left no feasible alignment path")
+        raise ValueError("every alignment path has infinite cost: the distances or their sums overflow float64")
 
     pairs = [(n1 - 1, n2 - 1)]
     i, j = n1 - 1, n2 - 1

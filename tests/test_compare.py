@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from melcep.compare import (
+    _pairwise_distance,
     PitchContour,
     UtteranceBundle,
     build_report,
@@ -116,34 +118,48 @@ def test_dtw_band_wide_enough_matches_unbanded(rng):
     assert banded == unbanded
 
 
+_NONFINITE_ERROR = "non-finite input: frames must not contain NaN or inf"
+
+
 def _assert_matches_loop(a, b, dist, band):
-    """dtw_align gives the loop's path and cost, or raises its ValueError."""
+    """dtw_align gives the loop's path and cost, or raises its ValueError.
+
+    The loop also runs on NaN/inf input, which always ends in a non-finite
+    total; dtw_align rejects such input up front with its own message.
+    """
+    finite = np.isfinite(a).all() and np.isfinite(b).all()
     try:
         want_pairs, want_cost = dtw_loop_reference(a, b, dist, band)
     except ValueError as exc:
-        with pytest.raises(ValueError) as got:
-            dtw_align(a, b, dist, band)
-        assert str(got.value) == str(exc)
+        want_error = str(exc) if finite else _NONFINITE_ERROR
+    else:
+        assert finite, "the loop found a finite path through non-finite input"
+        path, cost = dtw_align(a, b, dist, band)
+        assert np.array_equal(path.pairs, want_pairs)
+        assert cost == want_cost
         return
-    path, cost = dtw_align(a, b, dist, band)
-    assert np.array_equal(path.pairs, want_pairs)
-    assert cost == want_cost
+    with pytest.raises(ValueError) as got:
+        dtw_align(a, b, dist, band)
+    assert str(got.value) == want_error
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @settings(max_examples=150, deadline=None)
 @given(
     st.integers(1, 60),
     st.integers(1, 60),
     st.integers(1, 4),
     st.one_of(st.none(), st.just(0), st.integers(1, 5), st.integers(60, 200)),
-    st.sampled_from(["real", "ties", "nonfinite"]),
+    st.sampled_from(["real", "ties", "nonfinite", "overflow"]),
     st.integers(min_value=0, max_value=2**32 - 1),
 )
 def test_dtw_matches_loop_reference(n1, n2, dims, band, values, seed):
-    # "ties" draws small integers so many lattice cells tie and the tie order
-    # decides the path; "nonfinite" plants NaN/inf distances, which drive the
-    # total non-finite and so exercise the infeasible-path error.
+    # "ties" draws small integers so many cells tie and the tie order decides
+    # the path; "nonfinite" plants a NaN or inf input value; "overflow"
+    # scales finite frames so that some l2 distances overflow to +inf (at
+    # 10^153.5-10^155 about a fifth of the draws still have a finite path,
+    # the rest overflow every path).
     rng = np.random.default_rng(seed)
     if values == "ties":
         a = rng.integers(0, 3, (n1, dims)).astype(float)
@@ -152,9 +168,65 @@ def test_dtw_matches_loop_reference(n1, n2, dims, band, values, seed):
         a = rng.normal(0, 1, (n1, dims))
         b = rng.normal(0, 1, (n2, dims))
     if values == "nonfinite":
-        a[rng.integers(n1), rng.integers(dims)] = rng.choice([np.nan, np.inf])
+        a[rng.integers(n1), rng.integers(dims)] = rng.choice([np.nan, np.inf, -np.inf])
+    if values == "overflow":
+        scale = 10.0 ** rng.uniform(153.5, 155)
+        a *= scale
+        b *= scale
     for dist in ("cosine", "l2"):
         _assert_matches_loop(a, b, dist, band)
+
+
+@pytest.mark.parametrize("band", [None, 0])
+@pytest.mark.parametrize("dist", ["cosine", "l2"])
+@pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (2, 9)], ids=lambda s: "%dx%d" % s)
+def test_dtw_edge_shapes_match_loop_reference(rng, shape, dist, band):
+    # n2 == 1 makes the anti-diagonal stride n2 - 1 zero
+    n1, n2 = shape
+    _assert_matches_loop(rng.normal(0, 1, (n1, 3)), rng.normal(0, 1, (n2, 3)), dist, band)
+
+
+def test_dtw_rejects_nonfinite_input():
+    for bad in (np.nan, np.inf, -np.inf):
+        a = np.array([[bad], [1.0]])
+        for band in (None, 0):
+            with pytest.raises(ValueError, match="^non-finite input"):
+                dtw_align(a, np.zeros((3, 1)), "l2", band)
+            with pytest.raises(ValueError, match="^non-finite input"):
+                dtw_align(np.zeros((3, 1)), a, "cosine", band)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_dtw_overflow_error_names_overflow():
+    a = np.array([[1e200], [-1e200]])
+    with pytest.raises(ValueError, match="overflow"):
+        dtw_align(a, -a, "l2")
+
+
+@pytest.mark.parametrize("dims", range(1, 8))
+def test_l2_distance_build_matches_broadcast(rng, dims):
+    # 700 x 300 frames: the build spans four row chunks, the last one short
+    a = rng.normal(0, 1, (700, dims))
+    b = rng.normal(0, 1, (300, dims))
+    out = np.empty((700, 300))
+    _pairwise_distance(a, b, "l2", out)
+    want = np.sqrt(np.square(a[:, None] - b[None]).sum(axis=2))
+    assert np.array_equal(out, want)
+
+
+@pytest.mark.parametrize("dist,dims", [("cosine", 80), ("l2", 4), ("l2", 1)])
+def test_dtw_peak_memory_per_cell(rng, dist, dims):
+    # distances (8 B/cell) plus two bool decision arrays (2 B/cell), and no
+    # other array as large as the distance matrix
+    a = rng.normal(0, 1, (600, dims))
+    b = rng.normal(0, 1, (700, dims))
+    tracemalloc.start()
+    try:
+        dtw_align(a, b, dist)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (600 * 700) <= 11.0
 
 
 @pytest.mark.parametrize("band", [None, 40])
