@@ -194,22 +194,18 @@ def read_manifest(path) -> list[ManifestEntry]:
     return sorted(entries, key=lambda e: e.utterance_id)
 
 
-def _analyze_wav(path, run: RunConfig):
-    """Shared per-wav pipeline: preprocess, log-mel, utterance metrics."""
-    wave = preprocess(load_wav(path), run.preprocess)
+def _analyze(entry: ManifestEntry, wav_path, f0_path, run: RunConfig):
+    """The per-wav pipeline of every subcommand: preprocess, log-mel,
+    utterance metrics and, given a pitch CSV, the pitch contour."""
+    wave = preprocess(load_wav(wav_path), run.preprocess)
     mel = log_mel(wave, run.stft, run.mel)
-    um = utterance_metrics(quefrency_power(mel_cepstrogram(mel)), run.metric)
-    return wave, mel, um
-
-
-def _load_bundle(entry: ManifestEntry, wav_path, f0_path, run: RunConfig):
-    wave, mel, um = _analyze_wav(wav_path, run)
+    metrics = utterance_metrics(quefrency_power(mel_cepstrogram(mel)), run.metric)
     pitch = None
     if f0_path is not None:
         pitch = cmp.load_pitch_csv(f0_path, hop=run.stft.hop, sample_rate=run.preprocess.target_rate)
     bundle = cmp.UtteranceBundle(
         duration_s=wave.duration_s,
-        metrics=um,
+        metrics=metrics,
         pitch=pitch,
         token_count=entry.token_count,
     )
@@ -219,9 +215,9 @@ def _load_bundle(entry: ManifestEntry, wav_path, f0_path, run: RunConfig):
 def _features_worker(payload):
     entry, run, out_dir = payload
     try:
-        _, mel, um = _analyze_wav(entry.ref_wav, run)
+        mel, bundle = _analyze(entry, entry.ref_wav, None, run)
         spectral.write_blob(mel, Path(out_dir) / f"{entry.utterance_id}.lmel")
-        um.to_csv(Path(out_dir) / f"{entry.utterance_id}.metrics.csv")
+        bundle.metrics.to_csv(Path(out_dir) / f"{entry.utterance_id}.metrics.csv")
         return entry.utterance_id, None
     except Exception as exc:
         return entry.utterance_id, f"{type(exc).__name__}: {exc}"
@@ -232,8 +228,8 @@ def _compare_worker(payload):
     try:
         if entry.syn_wav is None:
             raise ValueError("entry has no syn_wav")
-        ref_mel, ref_bundle = _load_bundle(entry, entry.ref_wav, entry.f0_ref, run)
-        syn_mel, syn_bundle = _load_bundle(entry, entry.syn_wav, entry.f0_syn, run)
+        ref_mel, ref_bundle = _analyze(entry, entry.ref_wav, entry.f0_ref, run)
+        syn_mel, syn_bundle = _analyze(entry, entry.syn_wav, entry.f0_syn, run)
         report = cmp.build_report(ref_mel, syn_mel, ref_bundle, syn_bundle)
         path = Path(out_dir) / f"{entry.utterance_id}.report.json"
         path.write_text(report.to_json() + "\n", encoding="utf-8")
@@ -243,34 +239,18 @@ def _compare_worker(payload):
 
 
 def _stats_worker(payload):
-    entry, run, _ = payload
+    entry, run, label = payload
     try:
-        wave, _, um = _analyze_wav(entry.ref_wav, run)
-        mu_f0 = sigma_f0 = None
-        if entry.f0_ref is not None:
-            contour = cmp.load_pitch_csv(entry.f0_ref, hop=run.stft.hop, sample_rate=run.preprocess.target_rate)
-            voiced = contour.voiced_f0()
-            if voiced.size:
-                mu_f0 = float(np.mean(voiced))
-                sigma_f0 = float(np.std(voiced))
-        spr = None
-        if entry.token_count is not None and wave.duration_s > 0:
-            spr = entry.token_count / wave.duration_s
+        _, bundle = _analyze(entry, entry.ref_wav, entry.f0_ref, run)
         record = stats.UtteranceStats(
             utterance_id=entry.utterance_id,
-            duration_s=wave.duration_s,
+            duration_s=bundle.duration_s,
             phonemes_per_utterance=entry.token_count,
-            spr=spr,
-            mu_f0=mu_f0,
-            sigma_f0=sigma_f0,
-            hqer=um.means["hqer"],
-            cslope=um.means["cslope"],
-            ccentroid=um.means["ccentroid"],
-            croll95=um.means["croll95"],
+            **bundle.measures(),
         )
-        return entry.utterance_id, None, record
+        return label, entry.utterance_id, None, record
     except Exception as exc:
-        return entry.utterance_id, f"{type(exc).__name__}: {exc}", None
+        return label, entry.utterance_id, f"{type(exc).__name__}: {exc}", None
 
 
 def _run_pool(worker, payloads, workers: int):
@@ -337,38 +317,36 @@ def cmd_compare(args) -> int:
 
 def cmd_corpus_stats(args) -> int:
     run = load_run_config(args.config, args.qc, args.eps)
-    corpora = []
+    manifests = (("a", read_manifest(args.manifest_a)), ("b", read_manifest(args.manifest_b)))
+    payloads = [(entry, run, label) for label, entries in manifests for entry in entries]
+    results = _run_pool(_stats_worker, payloads, args.workers)
+    corpora = {label: [] for label, _ in manifests}
     failures = []
-    for label, manifest in (("a", args.manifest_a), ("b", args.manifest_b)):
-        entries = read_manifest(manifest)
-        results = _run_pool(_stats_worker, [(e, run, None) for e in entries], args.workers)
-        for utt, err, _ in results:
-            if err is not None:
-                failures.append((label, utt, err))
-                print(f"error: {utt}: {err}", file=sys.stderr)
-        corpora.append([rec for _, err, rec in results if err is None])
+    for label, utt, err, record in results:
+        if err is None:
+            corpora[label].append(record)
+        else:
+            failures.append((label, utt, err))
+            print(f"error: {utt}: {err}", file=sys.stderr)
     out_dir = Path(args.out).parent
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_error_log(out_dir, failures)
-    if not corpora[0] or not corpora[1]:
+    if not all(corpora.values()):
         print("error: no usable entries in one of the manifests", file=sys.stderr)
         return EXIT_PARTIAL
 
+    summaries = [stats.summarize(corpus).measures for corpus in corpora.values()]
     lines = ["measure,mean_a,std_a,median_a,count_a,mean_b,std_b,median_b,count_b,p_value"]
     for name in stats.MEASURES:
-        a = stats.measure_values(corpora[0], name)
-        b = stats.measure_values(corpora[1], name)
-        if a.size == 0 or b.size == 0:
+        if not all(name in summary for summary in summaries):
             print(f"warning: measure {name} missing from a corpus; row omitted", file=sys.stderr)
             continue
-        _, p = stats.mann_whitney_u(a, b)
-        row = [
-            name,
-            f"{np.mean(a):.6g}", f"{np.std(a):.6g}", f"{np.median(a):.6g}", str(a.size),
-            f"{np.mean(b):.6g}", f"{np.std(b):.6g}", f"{np.median(b):.6g}", str(b.size),
-            f"{p:.6g}",
-        ]
-        lines.append(",".join(row))
+        _, p = stats.mann_whitney_u(*(stats.measure_values(corpus, name) for corpus in corpora.values()))
+        row = [name]
+        for summary in summaries:
+            m = summary[name]
+            row += [f"{m.mean:.6g}", f"{m.std:.6g}", f"{m.median:.6g}", str(m.count)]
+        lines.append(",".join(row + [f"{p:.6g}"]))
     Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
     return EXIT_PARTIAL if failures else EXIT_OK
 
@@ -400,6 +378,17 @@ def cmd_synthlab(args) -> int:
     return EXIT_OK if report.passed else EXIT_PROPERTY
 
 
+def _positive_int(value: str) -> int:
+    """argparse type of the count flags: an integer of at least 1."""
+    try:
+        count = int(value)
+    except ValueError:
+        count = 0
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer of at least 1, got {value!r}")
+    return count
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
@@ -414,7 +403,7 @@ def build_parser() -> _Parser:
             p.add_argument("--manifest", required=True, help="manifest CSV path")
         p.add_argument("--out", required=True, help="output directory or file")
         p.add_argument("--config", default=None, help="key=value config file")
-        p.add_argument("--workers", type=int, default=1, help="parallel worker processes")
+        p.add_argument("--workers", type=_positive_int, default=1, help="parallel worker processes")
         p.add_argument("--qc", type=int, default=None, help="metric cutoff quefrency override")
         p.add_argument("--eps", type=float, default=None, help="metric epsilon override")
 
@@ -428,7 +417,7 @@ def build_parser() -> _Parser:
 
     p_lab = sub.add_parser("synthlab", help="run the degradation monotonicity suite")
     p_lab.add_argument("--out", required=True)
-    p_lab.add_argument("--spectrograms", type=int, default=100)
+    p_lab.add_argument("--spectrograms", type=_positive_int, default=100)
     p_lab.add_argument("--seed", type=int, default=synthlab.DEFAULT_SEED)
     p_lab.add_argument("--inject-fault", action="store_true", help=argparse.SUPPRESS)
     return parser

@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .osmetrics import UtteranceMetrics
+from .osmetrics import METRIC_NAMES, UtteranceMetrics
 from .spectral import LogMelSpectrogram
 
 _NORM_EPS = 1e-12
@@ -87,22 +87,33 @@ class MetricCurveMae(NamedTuple):
 
 @dataclass
 class UtteranceBundle:
-    """One utterance's measurements, the unit utterance_deltas compares."""
+    """One utterance's measurements: the per-wav record of every subcommand."""
 
     duration_s: float
     metrics: UtteranceMetrics | None = None
     pitch: PitchContour | None = None
     token_count: int | None = None
 
-    def spr(self) -> float | None:
-        """Speaking rate: tokens produced per second of audio."""
-        if self.token_count is None or self.duration_s <= 0:
-            return None
-        return self.token_count / self.duration_s
+    def measures(self) -> dict[str, float | None]:
+        """Utterance-level measures, None where an input is missing.
+
+        ``mu_f0`` and ``sigma_f0`` are the mean and population std of the
+        voiced f0; ``spr`` is the speaking rate in tokens per second of
+        audio; the four metric names map to their utterance means.
+        """
+        voiced = self.pitch.voiced_f0() if self.pitch is not None else np.empty(0)
+        has_tokens = self.token_count is not None and self.duration_s > 0
+        out = {
+            "mu_f0": float(np.mean(voiced)) if voiced.size else None,
+            "sigma_f0": float(np.std(voiced)) if voiced.size else None,
+            "spr": self.token_count / self.duration_s if has_tokens else None,
+        }
+        for name in METRIC_NAMES:
+            out[name] = None if self.metrics is None else self.metrics.means[name]
+        return out
 
 
-@dataclass
-class UtteranceDeltas:
+class UtteranceDeltas(NamedTuple):
     delta_mu_f0: float | None
     delta_sigma_f0: float | None
     delta_spr: float | None
@@ -364,37 +375,13 @@ def metric_curve_mae(ref: UtteranceMetrics, syn: UtteranceMetrics) -> MetricCurv
 
 
 def utterance_deltas(ref: UtteranceBundle, syn: UtteranceBundle) -> UtteranceDeltas:
-    """Synthesis-minus-reference differences of utterance-level statistics.
+    """Synthesis-minus-reference differences of ``UtteranceBundle.measures``.
 
-    Pitch mean and std are taken over each side's voiced frames.  Missing
-    inputs (no pitch, no token count) yield missing deltas, never zeros.
+    A measure missing on either side (no pitch, no token count) yields a
+    missing delta, never zero.
     """
-    def voiced_stats(bundle):
-        if bundle.pitch is None:
-            return None, None
-        v = bundle.pitch.voiced_f0()
-        if v.size == 0:
-            return None, None
-        return float(np.mean(v)), float(np.std(v))
-
-    mu_r, sd_r = voiced_stats(ref)
-    mu_s, sd_s = voiced_stats(syn)
-    spr_r, spr_s = ref.spr(), syn.spr()
-
-    def metric_delta(name):
-        if ref.metrics is None or syn.metrics is None:
-            return None
-        return syn.metrics.means[name] - ref.metrics.means[name]
-
-    return UtteranceDeltas(
-        delta_mu_f0=None if mu_r is None or mu_s is None else mu_s - mu_r,
-        delta_sigma_f0=None if sd_r is None or sd_s is None else sd_s - sd_r,
-        delta_spr=None if spr_r is None or spr_s is None else spr_s - spr_r,
-        delta_hqer=metric_delta("hqer"),
-        delta_cslope=metric_delta("cslope"),
-        delta_ccentroid=metric_delta("ccentroid"),
-        delta_croll95=metric_delta("croll95"),
-    )
+    r, s = ref.measures(), syn.measures()
+    return UtteranceDeltas(**{f"delta_{k}": None if r[k] is None or s[k] is None else s[k] - r[k] for k in r})
 
 
 def build_report(
@@ -413,25 +400,11 @@ def build_report(
         mae = metric_curve_mae(ref_bundle.metrics, syn_bundle.metrics)
     else:
         mae = MetricCurveMae(None, None, None, None)
-    deltas = utterance_deltas(ref_bundle, syn_bundle)
     return ComparisonReport(
-        l1=dist.l1,
-        l2=dist.l2,
-        sconv=dist.sconv,
-        f0_rmse=pm.f0_rmse,
-        pearson_r=pm.pearson_r,
-        vuv_error=pm.vuv_error,
-        mae_hqer=mae.hqer,
-        mae_cslope=mae.cslope,
-        mae_ccentroid=mae.ccentroid,
-        mae_croll95=mae.croll95,
-        delta_mu_f0=deltas.delta_mu_f0,
-        delta_sigma_f0=deltas.delta_sigma_f0,
-        delta_spr=deltas.delta_spr,
-        delta_hqer=deltas.delta_hqer,
-        delta_cslope=deltas.delta_cslope,
-        delta_ccentroid=deltas.delta_ccentroid,
-        delta_croll95=deltas.delta_croll95,
+        **dist._asdict(),
+        **pm._asdict(),
+        **{f"mae_{name}": value for name, value in mae._asdict().items()},
+        **utterance_deltas(ref_bundle, syn_bundle)._asdict(),
     )
 
 

@@ -57,16 +57,6 @@ class MetricConfig:
 
 
 @dataclass
-class OversmoothingFrame:
-    """The four metric values for a single frame."""
-
-    hqer: float
-    cslope: float
-    ccentroid: float
-    croll95: int
-
-
-@dataclass
 class UtteranceMetrics:
     """Framewise metric series over the non-degenerate frames of an utterance."""
 
@@ -202,16 +192,6 @@ def croll95(p, cfg: MetricConfig | None = None) -> int:
 
 def croll95_soft(p, cfg: MetricConfig | None = None) -> float:
     return _scalar(croll95_soft_series, p, cfg)
-
-
-def frame_metrics(p, cfg: MetricConfig | None = None) -> OversmoothingFrame:
-    """All four metrics for one quefrency-power column."""
-    return OversmoothingFrame(
-        hqer=hqer(p, cfg),
-        cslope=cslope(p, cfg),
-        ccentroid=ccentroid(p, cfg),
-        croll95=croll95(p, cfg),
-    )
 
 
 def utterance_metrics(p: QuefrencyPower, cfg: MetricConfig | None = None) -> UtteranceMetrics:

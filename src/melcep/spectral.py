@@ -148,15 +148,6 @@ def stft(w: Waveform, cfg: StftConfig | None = None) -> np.ndarray:
     return np.fft.rfft(frames * window, axis=1).T
 
 
-@functools.lru_cache(maxsize=8)
-def _cached_filterbank(n_mels, f_min, f_max, clamp_floor, sample_rate, n_fft):
-    return mel_filterbank(
-        MelConfig(n_mels=n_mels, f_min=f_min, f_max=f_max, clamp_floor=clamp_floor),
-        sample_rate,
-        n_fft,
-    )
-
-
 def mel_filterbank(cfg: MelConfig, sample_rate: int, n_fft: int) -> np.ndarray:
     """Triangular Slaney-scale mel filterbank, bands x FFT bins.
 
@@ -180,6 +171,10 @@ def mel_filterbank(cfg: MelConfig, sample_rate: int, n_fft: int) -> np.ndarray:
     return weights
 
 
+# MelConfig is frozen, so it is hashable and can key the cache itself.
+_cached_filterbank = functools.lru_cache(maxsize=8)(mel_filterbank)
+
+
 def filter_centers_hz(cfg: MelConfig) -> np.ndarray:
     """Center frequency of each mel filter in Hz."""
     return mel_to_hz(np.linspace(hz_to_mel(cfg.f_min), hz_to_mel(cfg.f_max), cfg.n_mels + 2))[1:-1]
@@ -194,10 +189,7 @@ def log_mel(
     stft_cfg = stft_cfg or StftConfig()
     mel_cfg = mel_cfg or MelConfig()
     spec = np.abs(stft(w, stft_cfg))
-    fb = _cached_filterbank(
-        mel_cfg.n_mels, mel_cfg.f_min, mel_cfg.f_max, mel_cfg.clamp_floor,
-        w.sample_rate, stft_cfg.n_fft,
-    )
+    fb = _cached_filterbank(mel_cfg, w.sample_rate, stft_cfg.n_fft)
     values = np.log(np.maximum(fb @ spec, mel_cfg.clamp_floor))
     return LogMelSpectrogram(values, hop=stft_cfg.hop, sample_rate=w.sample_rate)
 
@@ -224,11 +216,3 @@ def read_blob(path, hop: int = 256, sample_rate: int = 22050) -> LogMelSpectrogr
     if data.size != n_bands * n_frames:
         raise ValueError(f"truncated log-mel blob: {path!s}")
     return LogMelSpectrogram(data.reshape(n_bands, n_frames), hop=hop, sample_rate=sample_rate)
-
-
-def write_csv(s: LogMelSpectrogram, path) -> None:
-    """Write the spectrogram as CSV, one row per mel band."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in s.values:
-            fh.write(",".join(format(v, ".9g") for v in row))
-            fh.write("\n")

@@ -9,7 +9,6 @@ Mann-Whitney U test.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -60,38 +59,18 @@ class MeasureSummary:
 class CorpusSummary:
     measures: dict[str, MeasureSummary] = field(default_factory=dict)
 
-    def to_csv(self) -> str:
-        lines = ["measure,mean,std,median,count"]
-        for name in MEASURES:
-            if name in self.measures:
-                m = self.measures[name]
-                lines.append(f"{name},{m.mean:.6g},{m.std:.6g},{m.median:.6g},{m.count}")
-        return "\n".join(lines) + "\n"
-
-    def to_json(self) -> str:
-        payload = {
-            name: {
-                "mean": float(format(m.mean, ".6g")),
-                "std": float(format(m.std, ".6g")),
-                "median": float(format(m.median, ".6g")),
-                "count": m.count,
-            }
-            for name, m in self.measures.items()
-        }
-        return json.dumps(payload)
-
 
 def measure_values(corpus: list[UtteranceStats], name: str) -> np.ndarray:
     vals = [getattr(u, name) for u in corpus if getattr(u, name) is not None]
     return np.asarray(vals, dtype=np.float64)
 
 
-def summarize(corpus: list[UtteranceStats], ddof: int = 0) -> CorpusSummary:
+def summarize(corpus: list[UtteranceStats]) -> CorpusSummary:
     """Per-measure mean/std/median/count over a corpus of utterances.
 
     Utterances missing a measure are skipped for that measure only; the
-    count records how many contributed.  The std divisor is N by default
-    (population std), configurable through ``ddof``.
+    count records how many contributed.  The std is the population std
+    (divisor N).
     """
     if not corpus:
         raise ValueError("empty corpus")
@@ -102,7 +81,7 @@ def summarize(corpus: list[UtteranceStats], ddof: int = 0) -> CorpusSummary:
             continue
         summary.measures[name] = MeasureSummary(
             mean=float(np.mean(vals)),
-            std=float(np.std(vals, ddof=ddof)) if vals.size > ddof else 0.0,
+            std=float(np.std(vals)),
             median=float(np.median(vals)),
             count=int(vals.size),
         )

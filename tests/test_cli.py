@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from melcep import cli
 from melcep.cli import AGGREGATE_MEASURES, UsageError, load_run_config, main, read_manifest
 from melcep.spectral import read_blob
 
@@ -352,3 +353,98 @@ def test_read_manifest_validation(tmp_path):
     manifest.write_text("utterance_id,ref_wav,token_count\nu1,a.wav,twelve\n")
     with pytest.raises(UsageError, match="token_count"):
         read_manifest(manifest)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["synthlab", "--spectrograms", "0"],
+        ["synthlab", "--spectrograms", "-1"],
+        ["features", "--workers", "0"],
+        ["features", "--workers", "-2"],
+        ["corpus-stats", "--workers", "0"],
+        ["compare", "--workers", "two"],
+    ],
+)
+def test_count_flags_below_one_are_usage_errors(corpus, tmp_path, capsys, argv):
+    _, manifest, _ = corpus
+    out = tmp_path / "out"
+    if argv[0] == "corpus-stats":
+        argv = argv + ["--manifest-a", str(manifest), "--manifest-b", str(manifest), "--out", str(out / "s.csv")]
+    elif argv[0] == "synthlab":
+        argv = argv + ["--out", str(out)]
+    else:
+        argv = argv + ["--manifest", str(manifest), "--out", str(out)]
+    assert main(argv) == 1
+    assert "expected an integer of at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_corpus_stats_bad_manifest_b_fails_before_any_work(corpus, tmp_path, monkeypatch, capsys):
+    _, manifest, _ = corpus
+    loaded = []
+    monkeypatch.setattr(cli, "load_wav", loaded.append)
+    argv = ["corpus-stats", "--manifest-a", str(manifest), "--manifest-b", str(tmp_path / "nope.csv"),
+            "--out", str(tmp_path / "stats.csv")]
+    assert main(argv) == 1
+    assert "cannot read manifest" in capsys.readouterr().err
+    assert loaded == []
+
+
+@pytest.mark.parametrize("command", ["compare", "corpus-stats"])
+def test_batch_parallel_matches_serial(corpus, tmp_path, capsys, command):
+    _, manifest, rows = corpus
+    with_missing = tmp_path / "with_missing.csv"
+    missing = dict(rows[0], utterance_id="utt01x", ref_wav=str(tmp_path / "nope.wav"))
+    _write_manifest(with_missing, [dict(r) for r in rows] + [missing])
+    outputs, stderr = [], []
+    for workers in ("1", "2"):
+        out = tmp_path / f"w{workers}"
+        if command == "compare":
+            argv = [command, "--manifest", str(with_missing), "--out", str(out)]
+        else:
+            argv = [command, "--manifest-a", str(with_missing), "--manifest-b", str(manifest),
+                    "--out", str(out / "stats.csv")]
+        assert main(argv + ["--workers", workers]) == 2
+        stderr.append(capsys.readouterr().err)
+        outputs.append({path.name: path.read_bytes() for path in sorted(out.iterdir())})
+    expected = {"errors.log", "aggregate.csv"} | {f"{r['utterance_id']}.report.json" for r in rows}
+    if command == "corpus-stats":
+        expected = {"errors.log", "stats.csv"}
+    assert set(outputs[0]) == expected
+    assert outputs[0] == outputs[1]
+    assert "utt01x" in stderr[0] and stderr[0] == stderr[1]
+
+
+def test_subcommands_agree_on_shared_measures(tmp_path):
+    rng = np.random.default_rng(11)
+    rows = {}
+    for side, seconds, base_hz in (("ref", 0.7, 118.0), ("syn", 0.9, 131.0)):
+        wav = tmp_path / f"{side}.wav"
+        write_wav_bytes(wav, speechlike(rng, seconds), SR, "float32")
+        f0 = tmp_path / f"{side}.f0.csv"
+        contour = base_hz + 9.0 * np.sin(np.arange(60) / (5.0 if side == "ref" else 3.0))
+        contour[20:26] = 0.0
+        _write_pitch(f0, contour)
+        rows[side] = {"wav": str(wav), "f0": str(f0)}
+    pair = tmp_path / "pair.csv"
+    _write_manifest(pair, [{
+        "utterance_id": "u", "ref_wav": rows["ref"]["wav"], "syn_wav": rows["syn"]["wav"],
+        "f0_ref": rows["ref"]["f0"], "f0_syn": rows["syn"]["f0"], "token_count": 24,
+    }])
+    fields = ("utterance_id", "ref_wav", "f0_ref", "token_count")
+    for side in ("ref", "syn"):
+        _write_manifest(tmp_path / f"{side}.csv", [{
+            "utterance_id": "u", "ref_wav": rows[side]["wav"], "f0_ref": rows[side]["f0"], "token_count": 24,
+        }], fields=fields)
+    assert main(["compare", "--manifest", str(pair), "--out", str(tmp_path / "cmp")]) == 0
+    assert main(["corpus-stats", "--manifest-a", str(tmp_path / "ref.csv"), "--manifest-b", str(tmp_path / "syn.csv"),
+                 "--out", str(tmp_path / "stats.csv")]) == 0
+    report = json.loads((tmp_path / "cmp" / "u.report.json").read_text())
+    table = {line.split(",")[0]: line.split(",") for line in (tmp_path / "stats.csv").read_text().splitlines()[1:]}
+    for name in ("mu_f0", "sigma_f0", "spr", "hqer"):
+        delta = report[f"delta_{name}"]
+        mean_a, mean_b = float(table[name][1]), float(table[name][5])
+        assert delta != 0.0
+        # each printed value carries at most half a unit in its 6th significant digit
+        assert abs(delta - (mean_b - mean_a)) <= 5e-6 * (abs(delta) + abs(mean_a) + abs(mean_b))

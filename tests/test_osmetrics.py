@@ -11,7 +11,6 @@ from melcep.osmetrics import (
     croll95,
     croll95_soft,
     cslope,
-    frame_metrics,
     hqer,
     utterance_metrics,
 )
@@ -131,11 +130,10 @@ def test_degenerate_frame_raises():
 def test_frame_metrics_bundle(rng):
     p = np.zeros(Q)
     p[1:] = rng.exponential(1.0, Q - 1)
-    fm = frame_metrics(p, CFG)
-    assert 0.0 <= fm.hqer <= 1.0
-    assert 1.0 <= fm.ccentroid <= Q - 1
-    assert 1 <= fm.croll95 <= Q - 1
-    assert np.isfinite(fm.cslope)
+    assert 0.0 <= hqer(p, CFG) <= 1.0
+    assert 1.0 <= ccentroid(p, CFG) <= Q - 1
+    assert 1 <= croll95(p, CFG) <= Q - 1
+    assert np.isfinite(cslope(p, CFG))
 
 
 @settings(max_examples=40, deadline=None)
@@ -144,10 +142,9 @@ def test_metric_ranges_on_random_frames(seed):
     rng = np.random.default_rng(seed)
     p = np.zeros(Q)
     p[1:] = rng.exponential(1.0, Q - 1) + 1e-9
-    fm = frame_metrics(p, CFG)
-    assert 0.0 <= fm.hqer <= 1.0
-    assert 1.0 <= fm.ccentroid <= Q - 1
-    assert 1 <= fm.croll95 <= Q - 1
+    assert 0.0 <= hqer(p, CFG) <= 1.0
+    assert 1.0 <= ccentroid(p, CFG) <= Q - 1
+    assert 1 <= croll95(p, CFG) <= Q - 1
 
 
 def _qp_from_frames(frames):

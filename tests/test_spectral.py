@@ -17,7 +17,6 @@ from melcep.spectral import (
     reflect_pad,
     stft,
     write_blob,
-    write_csv,
 )
 
 from conftest import SR, speechlike, tone
@@ -180,16 +179,6 @@ def test_blob_rejects_garbage(tmp_path):
     path.write_bytes(b"not a blob at all")
     with pytest.raises(ValueError):
         read_blob(path)
-
-
-def test_csv_export(tmp_path, rng):
-    s = LogMelSpectrogram(rng.normal(-6, 1, (4, 7)))
-    path = tmp_path / "s.csv"
-    write_csv(s, path)
-    rows = [line.split(",") for line in path.read_text().strip().splitlines()]
-    assert len(rows) == 4 and all(len(r) == 7 for r in rows)
-    parsed = np.array([[float(v) for v in r] for r in rows])
-    assert np.allclose(parsed, s.values, atol=1e-8)
 
 
 def test_stft_config_validation():

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -141,14 +140,3 @@ def test_summarize_skips_missing_measures():
 def test_summarize_empty_corpus():
     with pytest.raises(ValueError):
         summarize([])
-
-
-def test_summary_emission():
-    s = summarize([UtteranceStats("a", duration_s=4.0, hqer=0.14), UtteranceStats("b", duration_s=6.0, hqer=0.12)])
-    csv_text = s.to_csv()
-    lines = csv_text.strip().splitlines()
-    assert lines[0] == "measure,mean,std,median,count"
-    assert lines[1].startswith("duration_s,5,")
-    payload = json.loads(s.to_json())
-    assert payload["hqer"]["count"] == 2
-    assert payload["duration_s"]["mean"] == 5.0
