@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -212,53 +213,63 @@ def _analyze(entry: ManifestEntry, wav_path, f0_path, run: RunConfig):
     return mel, bundle
 
 
-def _features_worker(payload):
+def _features_worker(payload) -> None:
     entry, run, out_dir = payload
-    try:
-        mel, bundle = _analyze(entry, entry.ref_wav, None, run)
-        spectral.write_blob(mel, Path(out_dir) / f"{entry.utterance_id}.lmel")
-        bundle.metrics.to_csv(Path(out_dir) / f"{entry.utterance_id}.metrics.csv")
-        return entry.utterance_id, None
-    except Exception as exc:
-        return entry.utterance_id, f"{type(exc).__name__}: {exc}"
+    mel, bundle = _analyze(entry, entry.ref_wav, None, run)
+    spectral.write_blob(mel, Path(out_dir) / f"{entry.utterance_id}.lmel")
+    bundle.metrics.to_csv(Path(out_dir) / f"{entry.utterance_id}.metrics.csv")
 
 
-def _compare_worker(payload):
+def _compare_worker(payload) -> cmp.ComparisonReport:
     entry, run, out_dir = payload
+    if entry.syn_wav is None:
+        raise ValueError("entry has no syn_wav")
+    ref_mel, ref_bundle = _analyze(entry, entry.ref_wav, entry.f0_ref, run)
+    syn_mel, syn_bundle = _analyze(entry, entry.syn_wav, entry.f0_syn, run)
+    report = cmp.build_report(ref_mel, syn_mel, ref_bundle, syn_bundle)
+    path = Path(out_dir) / f"{entry.utterance_id}.report.json"
+    path.write_text(report.to_json() + "\n", encoding="utf-8")
+    return report
+
+
+def _stats_worker(payload) -> stats.UtteranceStats:
+    entry, run = payload
+    _, bundle = _analyze(entry, entry.ref_wav, entry.f0_ref, run)
+    return stats.UtteranceStats(
+        utterance_id=entry.utterance_id,
+        duration_s=bundle.duration_s,
+        phonemes_per_utterance=entry.token_count,
+        **bundle.measures(),
+    )
+
+
+def _message(exc: BaseException) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
+def _guarded(worker, payload) -> tuple[str | None, object]:
+    """(None, result) of one entry, or (error message, None) if it raised."""
     try:
-        if entry.syn_wav is None:
-            raise ValueError("entry has no syn_wav")
-        ref_mel, ref_bundle = _analyze(entry, entry.ref_wav, entry.f0_ref, run)
-        syn_mel, syn_bundle = _analyze(entry, entry.syn_wav, entry.f0_syn, run)
-        report = cmp.build_report(ref_mel, syn_mel, ref_bundle, syn_bundle)
-        path = Path(out_dir) / f"{entry.utterance_id}.report.json"
-        path.write_text(report.to_json() + "\n", encoding="utf-8")
-        return entry.utterance_id, None, report
+        return None, worker(payload)
     except Exception as exc:
-        return entry.utterance_id, f"{type(exc).__name__}: {exc}", None
+        return _message(exc), None
 
 
-def _stats_worker(payload):
-    entry, run, label = payload
-    try:
-        _, bundle = _analyze(entry, entry.ref_wav, entry.f0_ref, run)
-        record = stats.UtteranceStats(
-            utterance_id=entry.utterance_id,
-            duration_s=bundle.duration_s,
-            phonemes_per_utterance=entry.token_count,
-            **bundle.measures(),
-        )
-        return label, entry.utterance_id, None, record
-    except Exception as exc:
-        return label, entry.utterance_id, f"{type(exc).__name__}: {exc}", None
+def _run_pool(worker, payloads, workers: int) -> list[tuple[str | None, object]]:
+    """(error, result) per payload, in payload order.
 
-
-def _run_pool(worker, payloads, workers: int):
+    A worker process that dies (killed, ``os._exit``) breaks the pool: the
+    entries that finished keep their results, and every other entry fails
+    with the pool's error.  None is retried in this process, which the same
+    entry could kill.
+    """
+    call = functools.partial(_guarded, worker)
     if workers <= 1 or len(payloads) <= 1:
-        return [worker(p) for p in payloads]
+        return [call(p) for p in payloads]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        chunk = max(1, len(payloads) // (4 * workers))
-        return list(pool.map(worker, payloads, chunksize=chunk))
+        futures = [pool.submit(call, p) for p in payloads]
+    # every future is done here; an exception in one is the pool's, not the entry's
+    return [(_message(f.exception()), None) if f.exception() else f.result() for f in futures]
 
 
 def _write_error_log(out_dir: Path, failures: list[tuple[str, ...]]) -> None:
@@ -274,7 +285,7 @@ def cmd_features(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     results = _run_pool(_features_worker, [(e, run, str(out_dir)) for e in entries], args.workers)
-    failures = [(utt, err) for utt, err in results if err is not None]
+    failures = [(e.utterance_id, err) for e, (err, _) in zip(entries, results) if err is not None]
     _write_error_log(out_dir, failures)
     for utt, err in failures:
         print(f"error: {utt}: {err}", file=sys.stderr)
@@ -299,8 +310,8 @@ def cmd_compare(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     results = _run_pool(_compare_worker, [(e, run, str(out_dir)) for e in entries], args.workers)
-    failures = [(utt, err) for utt, err, _ in results if err is not None]
-    reports = [report for _, err, report in results if err is None]
+    failures = [(e.utterance_id, err) for e, (err, _) in zip(entries, results) if err is not None]
+    reports = [report for err, report in results if err is None]
     _write_error_log(out_dir, failures)
     for utt, err in failures:
         print(f"error: {utt}: {err}", file=sys.stderr)
@@ -318,16 +329,16 @@ def cmd_compare(args) -> int:
 def cmd_corpus_stats(args) -> int:
     run = load_run_config(args.config, args.qc, args.eps)
     manifests = (("a", read_manifest(args.manifest_a)), ("b", read_manifest(args.manifest_b)))
-    payloads = [(entry, run, label) for label, entries in manifests for entry in entries]
-    results = _run_pool(_stats_worker, payloads, args.workers)
+    labelled = [(label, entry) for label, entries in manifests for entry in entries]
+    results = _run_pool(_stats_worker, [(entry, run) for _, entry in labelled], args.workers)
     corpora = {label: [] for label, _ in manifests}
     failures = []
-    for label, utt, err, record in results:
+    for (label, entry), (err, record) in zip(labelled, results):
         if err is None:
             corpora[label].append(record)
         else:
-            failures.append((label, utt, err))
-            print(f"error: {utt}: {err}", file=sys.stderr)
+            failures.append((label, entry.utterance_id, err))
+            print(f"error: {entry.utterance_id}: {err}", file=sys.stderr)
     out_dir = Path(args.out).parent
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_error_log(out_dir, failures)

@@ -77,13 +77,11 @@ class UtteranceMetrics:
         return np.stack([self.hqer, self.cslope, self.ccentroid, self.croll95.astype(float)], axis=1)
 
     def to_csv(self, path) -> None:
+        columns = (self.frame_indices, self.hqer, self.cslope, self.ccentroid, self.croll95)
+        rows = zip(*(column.tolist() for column in columns))
+        lines = [f"{int(i)},{h:.6g},{s:.6g},{c:.6g},{int(r)}\n" for i, h, s, c, r in rows]
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write("frame_index,hqer,cslope,ccentroid,croll95\n")
-            for i in range(self.n_frames):
-                fh.write(
-                    f"{int(self.frame_indices[i])},{self.hqer[i]:.6g},{self.cslope[i]:.6g},"
-                    f"{self.ccentroid[i]:.6g},{int(self.croll95[i])}\n"
-                )
+            fh.write("frame_index,hqer,cslope,ccentroid,croll95\n" + "".join(lines))
 
 
 def _power_matrix(p) -> np.ndarray:

@@ -14,7 +14,6 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import get_window
 
 from .audio import Waveform
 
@@ -141,11 +140,21 @@ def stft(w: Waveform, cfg: StftConfig | None = None) -> np.ndarray:
         raise ValueError("signal shorter than one hop")
     xp = reflect_pad(x, cfg.pad)
     frames = np.lib.stride_tricks.sliding_window_view(xp, cfg.n_fft)[:: cfg.hop]
-    window = get_window("hann", cfg.win_length, fftbins=True)
-    if cfg.win_length < cfg.n_fft:
-        lpad = (cfg.n_fft - cfg.win_length) // 2
-        window = np.pad(window, (lpad, cfg.n_fft - cfg.win_length - lpad))
-    return np.fft.rfft(frames * window, axis=1).T
+    return np.fft.rfft(frames * _stft_window(cfg), axis=1).T
+
+
+@functools.lru_cache(maxsize=8)
+def _stft_window(cfg: StftConfig) -> np.ndarray:
+    """Periodic Hann window of ``win_length`` centred in ``n_fft`` samples.
+
+    Equals ``scipy.signal.get_window("hann", win_length)`` bit for bit: the
+    cosine sum 0.5 + 0.5*cos(fac), fac = linspace(-pi, pi, N + 1), last
+    sample dropped; a window of one sample is 1.
+    """
+    n = cfg.win_length
+    window = np.ones(n) if n <= 1 else (0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, n + 1)))[:-1]
+    lpad = (cfg.n_fft - n) // 2
+    return np.pad(window, (lpad, cfg.n_fft - n - lpad))
 
 
 def mel_filterbank(cfg: MelConfig, sample_rate: int, n_fft: int) -> np.ndarray:

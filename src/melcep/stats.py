@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import rankdata
 
 MEASURES = (
     "duration_s",
@@ -88,10 +87,24 @@ def summarize(corpus: list[UtteranceStats]) -> CorpusSummary:
     return summary
 
 
+def _midranks(a: np.ndarray) -> np.ndarray:
+    """Ranks from 1, ties sharing their mean rank; all NaN if any value is
+    NaN.  ``scipy.stats.rankdata(a)`` bit for bit."""
+    if np.isnan(a).any():
+        return np.full(a.size, np.nan)
+    order = np.argsort(a, kind="stable")
+    ordered = a[order]
+    first = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+    counts = np.diff(first, append=a.size)
+    ranks = np.empty(a.size)
+    ranks[order] = np.repeat(first + 1 + (counts - 1) / 2, counts)
+    return ranks
+
+
 def _u_statistic(x: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
     """U for x (count of (x, y) pairs with x > y, ties counted half)."""
     n1 = x.size
-    ranked = rankdata(np.concatenate([x, y]))
+    ranked = _midranks(np.concatenate([x, y]))
     r1 = ranked[:n1].sum()
     return r1 - n1 * (n1 + 1) / 2.0, ranked
 

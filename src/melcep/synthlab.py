@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.ndimage import convolve1d
 
 from .cepstral import mel_cepstrogram, quefrency_power
 from .osmetrics import (
@@ -106,8 +105,14 @@ def degrade(s: LogMelSpectrogram, spec: DegradationSpec) -> LogMelSpectrogram:
                 if spec.kind == "mel_moving_average"
                 else _gaussian_kernel(width)
             )
-            # ndimage's "mirror" is reflection without edge duplication
-            out = convolve1d(values, kernel, axis=0, mode="mirror")
+            # reflection without edge duplication (ndimage's "mirror"), then
+            # scipy.ndimage.convolve1d's order for a symmetric kernel: the
+            # centre tap, then each pair of taps from the outside in
+            half, n = width // 2, values.shape[0]
+            padded = np.pad(values, ((half, half), (0, 0)), mode="reflect")
+            out = padded[half : half + n] * kernel[half]
+            for j in range(half, 0, -1):
+                out += (padded[half - j : half - j + n] + padded[half + j : half + j + n]) * kernel[half + j]
     return LogMelSpectrogram(out, hop=s.hop, sample_rate=s.sample_rate)
 
 
@@ -208,6 +213,8 @@ def run_monotonicity_suite(
 
     ``series_fns`` lets tests inject a fake metric as a negative control.
     """
+    if n_spectrograms < 1:
+        raise ValueError("n_spectrograms must be at least 1")
     cfg = metric_config or MetricConfig()
     fns = series_fns or _SERIES_FNS
     names = list(fns)

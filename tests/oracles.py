@@ -278,3 +278,39 @@ def pearson_reference(x, y) -> float:
     y = np.asarray(y, dtype=float)
     xm, ym = x - x.mean(), y - y.mean()
     return float(np.sum(xm * ym) / math.sqrt(np.sum(xm**2) * np.sum(ym**2)))
+
+
+def silence_mask_loop(x: np.ndarray, rate: int, threshold_db: float) -> np.ndarray:
+    """The frame-energy silence gate, its mask filled one hop block at a time.
+
+    Each 10 ms block takes the verdict of the 20 ms frame starting at it; the
+    tail past the last frame start takes the last verdict.  Signals shorter
+    than one frame get one verdict from their whole RMS.
+    """
+    frame = max(1, int(round(rate * 0.020)))
+    hop = max(1, int(round(rate * 0.010)))
+    n = x.size
+    if n < frame:
+        rms = float(np.sqrt(np.mean(np.square(x)))) if n else 0.0
+        return np.full(n, 20.0 * math.log10(max(rms, 1e-12)) < threshold_db)
+    n_frames = 1 + (n - frame) // hop
+    starts = np.arange(n_frames) * hop
+    windows = np.lib.stride_tricks.sliding_window_view(x, frame)[::hop]
+    frame_db = 10.0 * np.log10(np.maximum(np.mean(np.square(windows), axis=1), 1e-12**2))
+    silent = frame_db < threshold_db
+    mask = np.empty(n, dtype=bool)
+    for i in range(n_frames):
+        end = starts[i] + hop if i < n_frames - 1 else n
+        mask[starts[i] : end] = silent[i]
+    return mask
+
+
+def metrics_csv_rows(frame_indices, hqer, cslope, ccentroid, croll95) -> str:
+    """Per-frame metric CSV written row by row from numpy scalars."""
+    out = ["frame_index,hqer,cslope,ccentroid,croll95\n"]
+    for i in range(len(frame_indices)):
+        out.append(
+            f"{int(frame_indices[i])},{hqer[i]:.6g},{cslope[i]:.6g},"
+            f"{ccentroid[i]:.6g},{int(croll95[i])}\n"
+        )
+    return "".join(out)

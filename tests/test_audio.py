@@ -1,6 +1,16 @@
+import math
+import struct
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.io import wavfile
+from scipy.signal import butter, resample_poly, sosfiltfilt
 
+from melcep import audio
 from melcep.audio import (
     PreprocessConfig,
     SilentSignalError,
@@ -11,7 +21,7 @@ from melcep.audio import (
 )
 
 from conftest import SR, speechlike, tone, write_wav_bytes
-from oracles import gate_silent_segments
+from oracles import gate_silent_segments, silence_mask_loop
 
 
 def test_load_pcm16_silence(tmp_path):
@@ -169,3 +179,243 @@ def test_config_validation():
         PreprocessConfig(silence_trim_ms=0.0)
     with pytest.raises(ValueError):
         Waveform(np.zeros(10), 0)
+
+
+# --------------------------------------------------------------------------
+# numpy replacements of scipy routines, with scipy as the oracle
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(0, 3000),
+    rate=st.sampled_from([8000, 11025, 16000, 22050, 44100, 48000, 97, 100, 150]),
+    threshold=st.floats(-90.0, 0.0),
+    seed=st.integers(0, 2**16),
+)
+def test_silence_mask_matches_loop(n, rate, threshold, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(0.0, 1.0, n) * 10.0 ** rng.uniform(-4.0, 0.0, n)
+    if n > 10:
+        x[rng.integers(0, n, 2).min() : rng.integers(0, n, 2).max()] = 0.0  # a silent run
+    assert np.array_equal(audio.silence_mask(x, rate, threshold), silence_mask_loop(x, rate, threshold))
+
+
+def _scipy_load_wav(path) -> Waveform:
+    """``load_wav`` as it read files through ``scipy.io.wavfile``."""
+    try:
+        rate, data = wavfile.read(path)
+    except FileNotFoundError:
+        raise
+    except (ValueError, EOFError) as exc:
+        raise ValueError(f"unreadable WAV file {path!s}: {exc}") from exc
+    if data.dtype == np.int16:
+        x = data.astype(np.float64) / 32768.0
+    elif data.dtype == np.float32:
+        x = data.astype(np.float64)
+    else:
+        raise ValueError(f"unsupported WAV encoding {data.dtype} in {path!s}; expected PCM16 or float32")
+    if x.ndim == 2:
+        x = x.mean(axis=1)
+    if x.size == 0:
+        raise ValueError(f"zero-length audio in {path!s}")
+    if not np.isfinite(x).all():
+        raise ValueError(f"non-finite samples in {path!s}")
+    return Waveform(x, int(rate))
+
+
+def _outcome(load, path):
+    """(rate, samples), or (exception class, message)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # scipy warns about skipped chunks
+        try:
+            w = load(path)
+        except Exception as exc:
+            return type(exc), str(exc)
+    return w.sample_rate, w.samples
+
+
+def _assert_reads_like_scipy(path):
+    ours, ref = _outcome(load_wav, path), _outcome(_scipy_load_wav, path)
+    if isinstance(ref[1], np.ndarray):
+        assert ours[0] == ref[0] and isinstance(ours[1], np.ndarray)
+        assert np.array_equal(ours[1], ref[1])
+    else:
+        assert ours == ref
+
+
+_GUID_TAIL = b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
+
+
+def _chunk(cid: bytes, payload: bytes) -> bytes:
+    return cid + struct.pack("<I", len(payload)) + payload + b"\0" * (len(payload) % 2)
+
+
+def _fmt(tag: int, channels: int, rate: int, bits: int, guid_tag: int | None = None, extra: bytes = b"") -> bytes:
+    block = channels * -(-bits // 8)
+    body = struct.pack("<HHIIHH", tag, channels, rate, rate * block, block, bits)
+    if guid_tag is not None:  # WAVE_FORMAT_EXTENSIBLE: cbSize, valid bits, channel mask, GUID
+        body += struct.pack("<HHII", 22, bits, 3, guid_tag) + _GUID_TAIL
+    return _chunk(b"fmt ", body + extra)
+
+
+def _riff(*chunks: bytes, sig: bytes = b"RIFF") -> bytes:
+    body = b"WAVE" + b"".join(chunks)
+    return sig + struct.pack("<I", len(body)) + body
+
+
+def _pcm16(n, channels, seed=0):
+    data = np.random.default_rng(seed).integers(-32768, 32768, size=(n, channels))
+    return data.astype("<i2").tobytes()
+
+
+def _f32(n, channels, seed=0):
+    return np.random.default_rng(seed).uniform(-1, 1, size=(n, channels)).astype("<f4").tobytes()
+
+
+_VALID_WAVS = {
+    "pcm16_mono": _riff(_fmt(1, 1, 16000, 16), _chunk(b"data", _pcm16(101, 1))),
+    "pcm16_stereo": _riff(_fmt(1, 2, 44100, 16), _chunk(b"data", _pcm16(100, 2))),
+    "float32_mono": _riff(_fmt(3, 1, 22050, 32), _chunk(b"data", _f32(77, 1))),
+    "float32_stereo": _riff(_fmt(3, 2, 48000, 32), _chunk(b"data", _f32(64, 2))),
+    "extensible_pcm16": _riff(_fmt(0xFFFE, 2, 24000, 16, guid_tag=1), _chunk(b"data", _pcm16(50, 2))),
+    "extensible_float32": _riff(_fmt(0xFFFE, 1, 8000, 32, guid_tag=3), _chunk(b"data", _f32(33, 1))),
+    "odd_chunks": _riff(
+        _chunk(b"LIST", b"INFOabc"), _fmt(1, 1, 16000, 16, extra=b"\0\0"), _chunk(b"JUNK", b"x"),
+        _chunk(b"fact", b"\x05\0\0\0"), _chunk(b"data", _pcm16(9, 1)), _chunk(b"bext", b"odd")
+    ),
+    "odd_data_size": _riff(_fmt(1, 1, 16000, 16), _chunk(b"data", _pcm16(9, 1) + b"\x01")),
+    "truncated_data": _riff(_fmt(3, 2, 16000, 32), _chunk(b"data", _f32(40, 2)))[:-37],
+}
+
+
+@pytest.mark.parametrize("name", list(_VALID_WAVS))
+def test_wav_reader_matches_scipy(tmp_path, name):
+    path = tmp_path / f"{name}.wav"
+    path.write_bytes(_VALID_WAVS[name])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        rate, data = wavfile.read(path)
+    ours_rate, ours = audio._read_wav(path)
+    assert ours_rate == rate and ours.dtype == data.dtype and np.array_equal(ours, data)
+    _assert_reads_like_scipy(path)
+
+
+_REJECTED_WAVS = {
+    "pcm32": _riff(_fmt(1, 1, 16000, 32), _chunk(b"data", bytes(40))),
+    "pcm24": _riff(_fmt(1, 2, 16000, 24), _chunk(b"data", bytes(60))),
+    "pcm24_partial_sample": _riff(_fmt(1, 1, 16000, 24), _chunk(b"data", bytes(31))),
+    "uint8": _riff(_fmt(1, 1, 16000, 8), _chunk(b"data", bytes(range(20)))),
+    "float64": _riff(_fmt(3, 1, 16000, 64), _chunk(b"data", bytes(80))),
+    "float16": _riff(_fmt(3, 1, 16000, 16), _chunk(b"data", bytes(80))),
+    "pcm72": _riff(_fmt(1, 1, 16000, 72), _chunk(b"data", bytes(90))),
+    "alaw": _riff(_fmt(6, 1, 8000, 8), _chunk(b"data", bytes(20))),
+    "mulaw": _riff(_fmt(7, 1, 8000, 8), _chunk(b"data", bytes(20))),
+    "adpcm": _riff(_fmt(2, 1, 8000, 4), _chunk(b"data", bytes(20))),
+    "extensible_alaw": _riff(_fmt(0xFFFE, 1, 8000, 8, guid_tag=6), _chunk(b"data", bytes(20))),
+    "extensible_short": _riff(_fmt(0xFFFE, 1, 8000, 16)),
+    "bad_byte_rate": _riff(_chunk(b"fmt ", struct.pack("<HHIIHH", 1, 1, 16000, 1234, 2, 16)), _chunk(b"data", bytes(8))),
+    "short_fmt": _riff(_chunk(b"fmt ", bytes(14)), _chunk(b"data", bytes(8))),
+    "data_before_fmt": _riff(_chunk(b"data", bytes(8)), _fmt(1, 1, 16000, 16)),
+    "stereo_odd_samples": _riff(_fmt(1, 2, 16000, 16), _chunk(b"data", _pcm16(5, 1))),
+    "rifx_pcm16": b"RIFX" + struct.pack(">I", 36 + 8) + b"WAVE" + b"fmt "
+    + struct.pack(">IHHIIHH", 16, 1, 1, 8000, 16000, 2, 16) + b"data" + struct.pack(">I", 8) + bytes(8),
+    "zero_samples": _riff(_fmt(1, 1, 16000, 16), _chunk(b"data", b"")),
+    "nan_sample": _riff(_fmt(3, 1, 16000, 32), _chunk(b"data", np.array([0.0, np.nan], "<f4").tobytes())),
+    "empty_file": b"",
+    "text": b"definitely not a wav",
+    "avi": b"RIFF" + struct.pack("<I", 4) + b"AVI ",
+    "riff_only": b"RIFF",
+    "noise": np.random.default_rng(3).integers(0, 256, 200).astype("u1").tobytes(),
+}
+
+
+@pytest.mark.parametrize("name", list(_REJECTED_WAVS))
+def test_wav_reader_rejects_like_scipy(tmp_path, name):
+    path = tmp_path / f"{name}.wav"
+    path.write_bytes(_REJECTED_WAVS[name])
+    ours = _outcome(load_wav, path)
+    assert isinstance(ours[0], type) and issubclass(ours[0], Exception)
+    _assert_reads_like_scipy(path)
+
+
+@pytest.mark.parametrize("name", ["pcm16_stereo", "extensible_float32", "odd_chunks"])
+def test_wav_reader_truncated_like_scipy(tmp_path, name):
+    full = _VALID_WAVS[name]
+    path = tmp_path / "cut.wav"
+    for size in range(len(full)):
+        path.write_bytes(full[:size])
+        _assert_reads_like_scipy(path)
+
+
+def test_wav_reader_known_differences(tmp_path):
+    """Files scipy read differently on purpose: a header with no data chunk
+    (scipy crashed with UnboundLocalError), RF64 (not read), and format tags
+    outside the common set (named by scipy, printed in hex here)."""
+    cases = {
+        "no_data": (_riff(_fmt(1, 1, 16000, 16)), "no data chunk"),
+        "rf64": (b"RF64" + bytes(40), "RF64 WAV files are not supported"),
+        "tag_0x1234": (_riff(_fmt(0x1234, 1, 8000, 8), _chunk(b"data", bytes(4))), "Unknown wave file format: 0x1234."),
+    }
+    for name, (payload, message) in cases.items():
+        path = tmp_path / f"{name}.wav"
+        path.write_bytes(payload)
+        with pytest.raises(ValueError, match=f"unreadable WAV file .*{message}"):
+            load_wav(path)
+
+
+_RESAMPLE_RATES = [8000, 11025, 16000, 24000, 32000, 44100, 48000, 22051]
+
+
+@pytest.mark.parametrize("rate", _RESAMPLE_RATES)
+def test_resample_matches_resample_poly(rate):
+    rng = np.random.default_rng(rate)
+    g = math.gcd(SR, rate)
+    for n in (1, 2, 3, 5, 17, 100, 1001, rate // 3 + 1, 60 * rate):
+        x = rng.normal(0.0, 0.3, n)
+        ours = audio.resample(x, rate, SR)
+        ref = resample_poly(x, SR // g, rate // g, window=("kaiser", 8.6))
+        assert ours.shape == ref.shape
+        assert np.abs(ours - ref).max() <= 1e-12
+
+
+@pytest.mark.parametrize("rate,target", [(22050, 16000), (44100, 16000), (16000, 48000), (8000, 44100)])
+def test_resample_matches_resample_poly_other_targets(rate, target):
+    x = np.random.default_rng(1).normal(0.0, 0.3, 3 * rate + 7)
+    g = math.gcd(rate, target)
+    ours = audio.resample(x, rate, target)
+    ref = resample_poly(x, target // g, rate // g, window=("kaiser", 8.6))
+    assert ours.shape == ref.shape
+    assert np.abs(ours - ref).max() <= 1e-12
+
+
+def test_resample_memory_stays_linear_in_filter_length():
+    # 22051 -> 22050 Hz: up*down is 486 million, the filter 441021 taps
+    audio._polyphase.cache_clear()
+    x = np.random.default_rng(2).normal(0.0, 0.3, 22051)
+    tracemalloc.start()
+    try:
+        y = audio.resample(x, 22051, SR)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert y.size == SR
+    assert peak < 48 * 2**20  # about 10 float64 copies of the filter
+
+
+@pytest.mark.parametrize("rate", [8000, 16000, 22050, 44100, 48000])
+@pytest.mark.parametrize("cutoff", [10.0, 20.0, 60.0, 150.0, 500.0])
+def test_highpass_matches_sosfiltfilt(rate, cutoff):
+    """Within 1e-9 of scipy from 10 Hz up.  Lower cutoffs differ more
+    (about 1e-8 at 1 Hz): their poles sit so close to z = 1 that both
+    recurrences lose digits."""
+    rng = np.random.default_rng(int(rate + cutoff))
+    sos = butter(audio.HIGHPASS_ORDER, cutoff, btype="highpass", fs=rate, output="sos")
+    lengths = [1, 2, 3, 50, 1000, 4 * rate + 3]
+    if (rate, cutoff) in ((8000, 500.0), (22050, 60.0), (48000, 10.0)):
+        lengths.append(60 * rate)
+    for n in lengths:
+        # with a DC offset, so the steady-state start at x[0] matters
+        x = 0.2 + (speechlike(rng, n / rate, rate)[:n] if n >= rate // 100 else rng.normal(0.0, 0.3, n))
+        padlen = min(n - 1, int(round(3.0 * rate / cutoff)))
+        ref = sosfiltfilt(sos, x, padlen=padlen)
+        assert np.abs(audio._highpass(x, rate, cutoff) - ref).max() <= 1e-9 * np.abs(x).max()

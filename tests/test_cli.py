@@ -1,5 +1,10 @@
 import csv
 import json
+import multiprocessing
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -448,3 +453,54 @@ def test_subcommands_agree_on_shared_measures(tmp_path):
         assert delta != 0.0
         # each printed value carries at most half a unit in its 6th significant digit
         assert abs(delta - (mean_b - mean_a)) <= 5e-6 * (abs(delta) + abs(mean_a) + abs(mean_b))
+
+
+def test_runtime_imports_no_scipy():
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = "import sys, melcep, melcep.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_dying_worker_fails_unfinished_entries(tmp_path, monkeypatch, capsys):
+    """A worker killed mid-batch (here ``os._exit``) must not abort the batch:
+    finished entries keep their outputs, every entry without a result is in
+    errors.log, the run exits 2, and nothing runs in more than the 2 worker
+    processes (no retry in the parent)."""
+    if multiprocessing.get_start_method() != "fork":
+        pytest.skip("the dying entry reaches the workers through a forked copy of the module")
+    rng = np.random.default_rng(7)
+    rows = []
+    for k in range(5):
+        wav = tmp_path / f"utt{k}.wav"
+        write_wav_bytes(wav, speechlike(rng, 0.4), SR, "float32")
+        rows.append({"utterance_id": f"utt{k}", "ref_wav": str(wav)})
+    manifest = tmp_path / "m.csv"
+    _write_manifest(manifest, rows, fields=("utterance_id", "ref_wav"))
+    pids = tmp_path / "pids.txt"
+    real_load_wav = cli.load_wav
+
+    def load_or_die(path):
+        with open(pids, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()}\n")
+        if Path(path).stem == "utt2":
+            os._exit(7)
+        return real_load_wav(path)
+
+    monkeypatch.setattr(cli, "load_wav", load_or_die)
+    out = tmp_path / "out"
+    assert main(["features", "--manifest", str(manifest), "--out", str(out), "--workers", "2"]) == 2
+    failed = dict(line.split("\t") for line in (out / "errors.log").read_text().splitlines())
+    assert failed["utt2"].startswith("BrokenProcessPool: ")
+    err = capsys.readouterr().err
+    for k in range(5):
+        utt = f"utt{k}"
+        if utt in failed:
+            assert f"error: {utt}: BrokenProcessPool: " in err
+        else:
+            assert read_blob(out / f"{utt}.lmel").n_frames > 0
+            assert (out / f"{utt}.metrics.csv").read_text().startswith("frame_index,")
+    workers = set(pids.read_text().split())
+    assert 1 <= len(workers) <= 2 and str(os.getpid()) not in workers

@@ -17,6 +17,7 @@ from melcep.osmetrics import (
 from melcep.spectral import LogMelSpectrogram
 
 from conftest import speechy_frame
+from oracles import metrics_csv_rows
 
 Q = 41
 CFG = MetricConfig()
@@ -209,3 +210,18 @@ def test_config_validation():
 def test_cslope_needs_three_bins():
     with pytest.raises(ValueError):
         cslope(np.array([1.0, 2.0]), CFG)
+
+
+def test_metric_csv_equals_row_writer(tmp_path, rng):
+    for trial in range(20):
+        frames = [speechy_frame(rng) for _ in range(int(rng.integers(1, 60)))]
+        um = utterance_metrics(_qp_from_frames(frames), CFG)
+        if trial % 2:  # values of every magnitude and sign, NaN and inf
+            n = um.n_frames
+            um.hqer = rng.normal(0, 10.0 ** rng.uniform(-12, 12, n))
+            um.cslope = np.where(rng.random(n) < 0.1, np.nan, rng.normal(0, 1e-5, n))
+            um.ccentroid = np.where(rng.random(n) < 0.1, -np.inf, rng.uniform(-1e7, 1e7, n))
+        path = tmp_path / "m.csv"
+        um.to_csv(path)
+        expected = metrics_csv_rows(um.frame_indices, um.hqer, um.cslope, um.ccentroid, um.croll95)
+        assert path.read_bytes() == expected.encode("utf-8")

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.signal import get_window
 
+from melcep import spectral
 from melcep.audio import Waveform
 from melcep.spectral import (
     LogMelSpectrogram,
@@ -198,3 +200,13 @@ def test_stft_window_shorter_than_fft(rng):
     X = stft(Waveform(x, SR), cfg)
     assert X.shape == (513, (3000 + 2 * cfg.pad - 1024) // 256 + 1)
     assert np.isfinite(X).all()
+
+
+def test_stft_window_equals_scipy_hann():
+    # every win_length from 1 to 4096, alone and centred in a longer FFT
+    for n in range(1, 4097):
+        ref = get_window("hann", n, fftbins=True)
+        assert np.array_equal(spectral._stft_window(StftConfig(n_fft=n, win_length=n, hop=n)), ref)
+        if n % 97 == 0:
+            cfg = StftConfig(n_fft=n + 75, win_length=n, hop=1 if n % 2 == 0 else 2)
+            assert np.array_equal(spectral._stft_window(cfg), np.pad(ref, (37, 38)))

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from melcep import stats
 from melcep.stats import (
     EXACT_MAX_N,
     UtteranceStats,
@@ -140,3 +141,12 @@ def test_summarize_skips_missing_measures():
 def test_summarize_empty_corpus():
     with pytest.raises(ValueError):
         summarize([])
+
+
+def test_midranks_equal_rankdata_on_tied_draws(rng):
+    for _ in range(2000):
+        n = int(rng.integers(1, 80))
+        a = rng.integers(0, int(rng.integers(1, 40)), n).astype(np.float64) * rng.choice([1.0, 0.1, -2.5])
+        assert np.array_equal(stats._midranks(a), rankdata(a))
+    a = np.array([3.0, np.nan, 1.0, 3.0])
+    assert np.array_equal(stats._midranks(a), rankdata(a), equal_nan=True)

@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
+from scipy.ndimage import convolve1d
 
 from melcep.cepstral import mel_cepstrogram, quefrency_power
 from melcep.osmetrics import MetricConfig, ccentroid_series, hqer_series
 from melcep.spectral import LogMelSpectrogram
 from melcep.synthlab import (
+    FILTER_STRENGTHS,
     DegradationSpec,
     DEFAULT_SEED,
+    _gaussian_kernel,
     degrade,
     noise_spectrogram,
     run_monotonicity_suite,
@@ -142,3 +145,20 @@ def test_smoothed_vs_smoothed_is_not_monotone(rng):
         h15 = hqer_series(_qp(degrade(s, DegradationSpec("mel_moving_average", 15))).power, CFG)
         violations += int(np.sum(h15 > h9 + 1e-9))
     assert violations > 0
+
+
+@pytest.mark.parametrize("kind", ["mel_moving_average", "mel_gaussian_blur"])
+def test_filter_degradations_equal_ndimage_mirror(rng, kind):
+    for width in sorted(set(FILTER_STRENGTHS) | {7, 11, 21, 31}):
+        if width == 1:
+            continue
+        s = noise_spectrogram(rng, n_frames=12)
+        kernel = np.full(width, 1.0 / width) if kind == "mel_moving_average" else _gaussian_kernel(width)
+        ref = convolve1d(s.values, kernel, axis=0, mode="mirror")
+        assert np.array_equal(degrade(s, DegradationSpec(kind, width)).values, ref)
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_suite_rejects_fewer_than_one_spectrogram(n):
+    with pytest.raises(ValueError, match="n_spectrograms"):
+        run_monotonicity_suite(n_spectrograms=n)
