@@ -81,6 +81,8 @@ class PreprocessConfig:
     cap_long_silence: bool = True
 
     def __post_init__(self):
+        if self.highpass_hz <= 0:
+            raise ValueError("highpass_hz must be positive")
         if self.target_rate <= 2 * self.highpass_hz:
             raise ValueError("target_rate must exceed twice the high-pass cutoff")
         if self.silence_trim_ms <= 0:

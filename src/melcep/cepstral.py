@@ -27,14 +27,6 @@ class MelCepstrogram:
     coeffs: np.ndarray
     degenerate: np.ndarray
 
-    @property
-    def n_quefrencies(self) -> int:
-        return self.coeffs.shape[0]
-
-    @property
-    def n_frames(self) -> int:
-        return self.coeffs.shape[1]
-
 
 @dataclass
 class QuefrencyPower:
@@ -42,14 +34,6 @@ class QuefrencyPower:
 
     power: np.ndarray
     degenerate: np.ndarray
-
-    @property
-    def n_quefrencies(self) -> int:
-        return self.power.shape[0]
-
-    @property
-    def n_frames(self) -> int:
-        return self.power.shape[1]
 
 
 def mel_window(n_bands: int) -> np.ndarray:

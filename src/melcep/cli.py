@@ -17,18 +17,17 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from . import compare as cmp
 from . import spectral, stats, synthlab
 from .audio import PreprocessConfig, load_wav, preprocess
 from .cepstral import mel_cepstrogram, quefrency_power
-from .osmetrics import MetricConfig, utterance_metrics
+from .osmetrics import SERIES, MetricConfig, utterance_metrics
 from .spectral import MelConfig, StftConfig, log_mel
 
 EXIT_OK = 0
@@ -85,24 +84,35 @@ def _parse_bool(value: str) -> bool:
     raise ValueError(f"expected 1/true/yes or 0/false/no, got {value!r}")
 
 
+def _finite_float(value: str) -> float:
+    """Type of every float config key and of ``--eps``: a number, not NaN or inf."""
+    try:
+        number = float(value)
+    except ValueError:
+        number = math.nan
+    if not math.isfinite(number):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {value!r}")
+    return number
+
+
 _CONFIG_KEYS = {
     "target_rate": ("preprocess", int),
-    "silence_trim_ms": ("preprocess", float),
-    "silence_threshold_db": ("preprocess", float),
-    "highpass_hz": ("preprocess", float),
-    "target_level_dbfs": ("preprocess", lambda v: None if v.lower() in ("none", "off") else float(v)),
+    "silence_trim_ms": ("preprocess", _finite_float),
+    "silence_threshold_db": ("preprocess", _finite_float),
+    "highpass_hz": ("preprocess", _finite_float),
+    "target_level_dbfs": ("preprocess", lambda v: None if v.lower() in ("none", "off") else _finite_float(v)),
     "cap_long_silence": ("preprocess", _parse_bool),
     "n_fft": ("stft", int),
     "win_length": ("stft", int),
     "hop": ("stft", int),
     "n_mels": ("mel", int),
-    "f_min": ("mel", float),
-    "f_max": ("mel", float),
-    "clamp_floor": ("mel", float),
+    "f_min": ("mel", _finite_float),
+    "f_max": ("mel", _finite_float),
+    "clamp_floor": ("mel", _finite_float),
     "cutoff_q": ("metric", int),
-    "eps": ("metric", float),
-    "rolloff_fraction": ("metric", float),
-    "soft_tau": ("metric", float),
+    "eps": ("metric", _finite_float),
+    "rolloff_fraction": ("metric", _finite_float),
+    "soft_tau": ("metric", _finite_float),
 }
 
 
@@ -113,7 +123,7 @@ def load_run_config(path=None, qc=None, eps=None) -> RunConfig:
     if path is not None:
         try:
             text = Path(path).read_text(encoding="utf-8")
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise UsageError(f"cannot read config file: {exc}") from exc
         for lineno, raw in enumerate(text.splitlines(), 1):
             line = raw.split("#", 1)[0].strip()
@@ -127,7 +137,7 @@ def load_run_config(path=None, qc=None, eps=None) -> RunConfig:
             section, conv = _CONFIG_KEYS[key]
             try:
                 sections[section][key] = conv(value)
-            except ValueError as exc:
+            except (ValueError, argparse.ArgumentTypeError) as exc:
                 raise UsageError(f"config line {lineno}: bad value for {key}: {exc}") from exc
     if qc is not None:
         sections["metric"]["cutoff_q"] = qc
@@ -142,6 +152,8 @@ def load_run_config(path=None, qc=None, eps=None) -> RunConfig:
         )
         # the mel cepstrum has n_mels // 2 + 1 quefrency bins
         run.metric.resolve_cutoff(run.mel.n_mels // 2 + 1)
+        # not mel_filterbank: its 300 kB freed here gave forked workers a third more page faults
+        spectral.mel_band_edges(run.mel, run.preprocess.target_rate, run.stft.n_fft)
     except ValueError as exc:
         raise UsageError(f"invalid configuration: {exc}") from exc
     return run
@@ -149,44 +161,46 @@ def load_run_config(path=None, qc=None, eps=None) -> RunConfig:
 
 def read_manifest(path) -> list[ManifestEntry]:
     try:
-        fh = open(path, newline="", encoding="utf-8")
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.DictReader(fh)
+            fieldnames, rows = reader.fieldnames, list(reader)
     except OSError as exc:
         raise UsageError(f"cannot read manifest: {exc}") from exc
-    with fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise UsageError("empty manifest")
-        unknown = set(reader.fieldnames) - set(MANIFEST_FIELDS)
-        if unknown:
-            raise UsageError(f"unknown manifest columns: {sorted(unknown)}")
-        if "utterance_id" not in reader.fieldnames or "ref_wav" not in reader.fieldnames:
-            raise UsageError("manifest must have utterance_id and ref_wav columns")
-        entries = []
-        for lineno, row in enumerate(reader, 2):
-            def cell(name):
-                value = (row.get(name) or "").strip()
-                return value or None
-            if cell("utterance_id") is None or cell("ref_wav") is None:
-                raise UsageError(f"manifest line {lineno}: utterance_id and ref_wav are required")
-            token = cell("token_count")
-            if token is not None:
-                try:
-                    token = int(token)
-                except ValueError:
-                    raise UsageError(f"manifest line {lineno}: token_count must be an integer") from None
-            if cell("f0_syn") is not None and cell("syn_wav") is None:
-                raise UsageError(f"manifest line {lineno}: f0_syn given without syn_wav")
-            entries.append(
-                ManifestEntry(
-                    utterance_id=cell("utterance_id"),
-                    ref_wav=cell("ref_wav"),
-                    syn_wav=cell("syn_wav"),
-                    f0_ref=cell("f0_ref"),
-                    f0_syn=cell("f0_syn"),
-                    token_count=token,
-                    speaker_id=cell("speaker_id"),
-                )
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise UsageError(f"cannot parse manifest: {exc}") from exc
+    if fieldnames is None:
+        raise UsageError("empty manifest")
+    unknown = set(fieldnames) - set(MANIFEST_FIELDS)
+    if unknown:
+        raise UsageError(f"unknown manifest columns: {sorted(unknown)}")
+    if "utterance_id" not in fieldnames or "ref_wav" not in fieldnames:
+        raise UsageError("manifest must have utterance_id and ref_wav columns")
+    entries = []
+    for lineno, row in enumerate(rows, 2):
+        def cell(name):
+            value = (row.get(name) or "").strip()
+            return value or None
+        if cell("utterance_id") is None or cell("ref_wav") is None:
+            raise UsageError(f"manifest line {lineno}: utterance_id and ref_wav are required")
+        token = cell("token_count")
+        if token is not None:
+            try:
+                token = int(token)
+            except ValueError:
+                raise UsageError(f"manifest line {lineno}: token_count must be an integer") from None
+        if cell("f0_syn") is not None and cell("syn_wav") is None:
+            raise UsageError(f"manifest line {lineno}: f0_syn given without syn_wav")
+        entries.append(
+            ManifestEntry(
+                utterance_id=cell("utterance_id"),
+                ref_wav=cell("ref_wav"),
+                syn_wav=cell("syn_wav"),
+                f0_ref=cell("f0_ref"),
+                f0_syn=cell("f0_syn"),
+                token_count=token,
+                speaker_id=cell("speaker_id"),
             )
+        )
     if not entries:
         raise UsageError("empty manifest")
     ids = [e.utterance_id for e in entries]
@@ -266,82 +280,56 @@ def _run_pool(worker, payloads, workers: int) -> list[tuple[str | None, object]]
     call = functools.partial(_guarded, worker)
     if workers <= 1 or len(payloads) <= 1:
         return [call(p) for p in payloads]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    # a forking pool starts all of its processes at the first submit
+    with ProcessPoolExecutor(max_workers=min(workers, len(payloads))) as pool:
         futures = [pool.submit(call, p) for p in payloads]
     # every future is done here; an exception in one is the pool's, not the entry's
     return [(_message(f.exception()), None) if f.exception() else f.result() for f in futures]
 
 
-def _write_error_log(out_dir: Path, failures: list[tuple[str, ...]]) -> None:
-    """One tab-separated line per failure (key fields, then the message), sorted."""
+def _run_batch(worker, jobs, workers: int, log_dir: Path) -> tuple[list[tuple[tuple[str, ...], object]], bool]:
+    """Run ``worker`` on each (key, payload) job, the key being the entry's
+    errors.log fields with the utterance id last.  Prints and logs every
+    failure; returns the (key, result) of each success and whether any failed."""
+    log_dir.mkdir(parents=True, exist_ok=True)
+    done, failures = [], []
+    for (key, _), (err, result) in zip(jobs, _run_pool(worker, [payload for _, payload in jobs], workers)):
+        if err is None:
+            done.append((key, result))
+        else:
+            failures.append(key + (err,))
+            print(f"error: {key[-1]}: {err}", file=sys.stderr)
     if failures:
         lines = ["\t".join(failure) for failure in sorted(failures)]
-        (out_dir / "errors.log").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        (log_dir / "errors.log").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return done, bool(failures)
 
 
-def cmd_features(args) -> int:
-    run = load_run_config(args.config, args.qc, args.eps)
-    entries = read_manifest(args.manifest)
+def cmd_features(args, run: RunConfig) -> int:
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    results = _run_pool(_features_worker, [(e, run, str(out_dir)) for e in entries], args.workers)
-    failures = [(e.utterance_id, err) for e, (err, _) in zip(entries, results) if err is not None]
-    _write_error_log(out_dir, failures)
-    for utt, err in failures:
-        print(f"error: {utt}: {err}", file=sys.stderr)
-    return EXIT_PARTIAL if failures else EXIT_OK
+    jobs = [((e.utterance_id,), (e, run, str(out_dir))) for e in read_manifest(args.manifest)]
+    _, failed = _run_batch(_features_worker, jobs, args.workers, out_dir)
+    return EXIT_PARTIAL if failed else EXIT_OK
 
 
-def _aggregate_rows(reports) -> list[tuple[str, float | None, float | None, int]]:
-    rows = []
-    for label, field_name, scale in AGGREGATE_MEASURES:
-        values = [getattr(r, field_name) for r in reports if getattr(r, field_name) is not None]
-        if values:
-            arr = np.asarray(values, dtype=np.float64) * scale
-            rows.append((label, float(np.mean(arr)), float(np.std(arr)), len(values)))
-        else:
-            rows.append((label, None, None, 0))
-    return rows
-
-
-def cmd_compare(args) -> int:
-    run = load_run_config(args.config, args.qc, args.eps)
-    entries = read_manifest(args.manifest)
+def cmd_compare(args, run: RunConfig) -> int:
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    results = _run_pool(_compare_worker, [(e, run, str(out_dir)) for e in entries], args.workers)
-    failures = [(e.utterance_id, err) for e, (err, _) in zip(entries, results) if err is not None]
-    reports = [report for err, report in results if err is None]
-    _write_error_log(out_dir, failures)
-    for utt, err in failures:
-        print(f"error: {utt}: {err}", file=sys.stderr)
-
+    jobs = [((e.utterance_id,), (e, run, str(out_dir))) for e in read_manifest(args.manifest)]
+    done, failed = _run_batch(_compare_worker, jobs, args.workers, out_dir)
+    reports = [report for _, report in done]
     lines = ["measure,mean,std,count"]
-    for label, mean, std, count in _aggregate_rows(reports):
-        if mean is None:
-            lines.append(f"{label},,,0")
-        else:
-            lines.append(f"{label},{mean:.6g},{std:.6g},{count}")
+    for label, field_name, scale in AGGREGATE_MEASURES:
+        m = stats.summarize_values(stats.measure_values(reports, field_name) * scale)
+        lines.append(f"{label},,,0" if m is None else f"{label},{m.mean:.6g},{m.std:.6g},{m.count}")
     (out_dir / "aggregate.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return EXIT_PARTIAL if failures else EXIT_OK
+    return EXIT_PARTIAL if failed else EXIT_OK
 
 
-def cmd_corpus_stats(args) -> int:
-    run = load_run_config(args.config, args.qc, args.eps)
+def cmd_corpus_stats(args, run: RunConfig) -> int:
     manifests = (("a", read_manifest(args.manifest_a)), ("b", read_manifest(args.manifest_b)))
-    labelled = [(label, entry) for label, entries in manifests for entry in entries]
-    results = _run_pool(_stats_worker, [(entry, run) for _, entry in labelled], args.workers)
-    corpora = {label: [] for label, _ in manifests}
-    failures = []
-    for (label, entry), (err, record) in zip(labelled, results):
-        if err is None:
-            corpora[label].append(record)
-        else:
-            failures.append((label, entry.utterance_id, err))
-            print(f"error: {entry.utterance_id}: {err}", file=sys.stderr)
-    out_dir = Path(args.out).parent
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_error_log(out_dir, failures)
+    jobs = [((label, e.utterance_id), (e, run)) for label, entries in manifests for e in entries]
+    done, failed = _run_batch(_stats_worker, jobs, args.workers, Path(args.out).parent)
+    corpora = {label: [record for (tag, _), record in done if tag == label] for label, _ in manifests}
     if not all(corpora.values()):
         print("error: no usable entries in one of the manifests", file=sys.stderr)
         return EXIT_PARTIAL
@@ -359,19 +347,15 @@ def cmd_corpus_stats(args) -> int:
             row += [f"{m.mean:.6g}", f"{m.std:.6g}", f"{m.median:.6g}", str(m.count)]
         lines.append(",".join(row + [f"{p:.6g}"]))
     Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return EXIT_PARTIAL if failures else EXIT_OK
+    return EXIT_PARTIAL if failed else EXIT_OK
 
 
 def cmd_synthlab(args) -> int:
     series_fns = None
     if args.inject_fault:
         # negative control: a metric that grows under smoothing must trip the gate
-        from .osmetrics import hqer_series
-
-        def inverted_hqer(p, cfg=None):
-            return 1.0 - hqer_series(p, cfg)
-
-        series_fns = dict(synthlab._SERIES_FNS, hqer=inverted_hqer)
+        hqer_series = SERIES["hqer"]
+        series_fns = dict(SERIES, hqer=lambda p, cfg=None: 1.0 - hqer_series(p, cfg))
     report = synthlab.run_monotonicity_suite(
         n_spectrograms=args.spectrograms,
         seed=args.seed,
@@ -416,7 +400,7 @@ def build_parser() -> _Parser:
         p.add_argument("--config", default=None, help="key=value config file")
         p.add_argument("--workers", type=_positive_int, default=1, help="parallel worker processes")
         p.add_argument("--qc", type=int, default=None, help="metric cutoff quefrency override")
-        p.add_argument("--eps", type=float, default=None, help="metric epsilon override")
+        p.add_argument("--eps", type=_finite_float, default=None, help="metric epsilon override")
 
     add_common(sub.add_parser("features", help="extract log-mel blobs and metric CSVs"))
     add_common(sub.add_parser("compare", help="score reference/synthesis pairs"))
@@ -438,13 +422,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "features":
-            return cmd_features(args)
-        if args.command == "compare":
-            return cmd_compare(args)
-        if args.command == "corpus-stats":
-            return cmd_corpus_stats(args)
-        return cmd_synthlab(args)
+        if args.command == "synthlab":
+            return cmd_synthlab(args)
+        run = load_run_config(args.config, args.qc, args.eps)
+        commands = {"features": cmd_features, "compare": cmd_compare, "corpus-stats": cmd_corpus_stats}
+        return commands[args.command](args, run)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -165,6 +165,19 @@ def croll95_soft_series(p, cfg: MetricConfig | None = None) -> np.ndarray:
     return out
 
 
+SERIES = {
+    "hqer": hqer_series,
+    "cslope": cslope_series,
+    "ccentroid": ccentroid_series,
+    "croll95": croll95_series,
+}
+
+
+def usable_frames(qp: QuefrencyPower) -> np.ndarray:
+    """Frames the metrics are taken over: not degenerate, with power above DC."""
+    return ~qp.degenerate & (qp.power[1:].sum(axis=0) > 0)
+
+
 def _scalar(series_fn, p, cfg) -> float:
     value = series_fn(np.asarray(p, dtype=np.float64)[:, None], cfg)[0]
     if np.isnan(value):
@@ -199,17 +212,12 @@ def utterance_metrics(p: QuefrencyPower, cfg: MetricConfig | None = None) -> Utt
     aggregates; the std is the population standard deviation.
     """
     cfg = cfg or MetricConfig()
-    keep = ~p.degenerate & (p.power[1:, :].sum(axis=0) > 0)
+    keep = usable_frames(p)
     if not keep.any():
         raise DegenerateFrameError("all frames degenerate")
     power = p.power[:, keep]
-    um = UtteranceMetrics(
-        frame_indices=np.flatnonzero(keep),
-        hqer=hqer_series(power, cfg),
-        cslope=cslope_series(power, cfg),
-        ccentroid=ccentroid_series(power, cfg),
-        croll95=croll95_series(power, cfg).astype(int),
-    )
+    um = UtteranceMetrics(frame_indices=np.flatnonzero(keep), **{name: fn(power, cfg) for name, fn in SERIES.items()})
+    um.croll95 = um.croll95.astype(int)
     for name in METRIC_NAMES:
         series = getattr(um, name)
         um.means[name] = float(np.mean(series))

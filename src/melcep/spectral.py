@@ -34,8 +34,8 @@ class StftConfig:
     def __post_init__(self):
         if self.n_fft < self.win_length:
             raise ValueError("n_fft must be >= win_length")
-        if self.hop > self.win_length:
-            raise ValueError("hop must be <= win_length")
+        if not 1 <= self.hop <= self.win_length:
+            raise ValueError("hop must be in [1, win_length]")
         if (self.n_fft - self.hop) % 2:
             raise ValueError("n_fft - hop must be even for symmetric padding")
 
@@ -157,6 +157,18 @@ def _stft_window(cfg: StftConfig) -> np.ndarray:
     return np.pad(window, (lpad, cfg.n_fft - n - lpad))
 
 
+def mel_band_edges(cfg: MelConfig, sample_rate: int, n_fft: int) -> tuple[np.ndarray, np.ndarray]:
+    """FFT bin frequencies and the n_mels + 2 band edges in Hz.  Raises for an f_max above
+    Nyquist, or a band with no FFT bin strictly between its outer edges (its positive support)."""
+    if cfg.f_max > sample_rate / 2:
+        raise ValueError("f_max exceeds the Nyquist frequency")
+    fft_hz = np.linspace(0.0, sample_rate / 2.0, n_fft // 2 + 1)
+    edges_hz = mel_to_hz(np.linspace(hz_to_mel(cfg.f_min), hz_to_mel(cfg.f_max), cfg.n_mels + 2))
+    if (np.searchsorted(fft_hz, edges_hz[2:]) <= np.searchsorted(fft_hz, edges_hz[:-2], "right")).any():
+        raise ValueError("mel filterbank has bands with empty FFT-bin support")
+    return fft_hz, edges_hz
+
+
 def mel_filterbank(cfg: MelConfig, sample_rate: int, n_fft: int) -> np.ndarray:
     """Triangular Slaney-scale mel filterbank, bands x FFT bins.
 
@@ -164,29 +176,18 @@ def mel_filterbank(cfg: MelConfig, sample_rate: int, n_fft: int) -> np.ndarray:
     is area-normalized by 2/(right_hz - left_hz) so that energy is equalized
     across bands.  A filter with no FFT bin under its support is an error.
     """
-    if cfg.f_max > sample_rate / 2:
-        raise ValueError("f_max exceeds the Nyquist frequency")
-    n_bins = n_fft // 2 + 1
-    fft_hz = np.linspace(0.0, sample_rate / 2.0, n_bins)
-    edges_hz = mel_to_hz(np.linspace(hz_to_mel(cfg.f_min), hz_to_mel(cfg.f_max), cfg.n_mels + 2))
-    weights = np.zeros((cfg.n_mels, n_bins))
+    fft_hz, edges_hz = mel_band_edges(cfg, sample_rate, n_fft)
+    weights = np.zeros((cfg.n_mels, fft_hz.size))
     for i in range(cfg.n_mels):
         left, center, right = edges_hz[i], edges_hz[i + 1], edges_hz[i + 2]
         up = (fft_hz - left) / (center - left)
         down = (right - fft_hz) / (right - center)
         weights[i] = np.maximum(0.0, np.minimum(up, down)) * (2.0 / (right - left))
-    if (weights.sum(axis=1) <= 0).any():
-        raise ValueError("mel filterbank has bands with empty FFT-bin support")
     return weights
 
 
 # MelConfig is frozen, so it is hashable and can key the cache itself.
 _cached_filterbank = functools.lru_cache(maxsize=8)(mel_filterbank)
-
-
-def filter_centers_hz(cfg: MelConfig) -> np.ndarray:
-    """Center frequency of each mel filter in Hz."""
-    return mel_to_hz(np.linspace(hz_to_mel(cfg.f_min), hz_to_mel(cfg.f_max), cfg.n_mels + 2))[1:-1]
 
 
 def log_mel(

@@ -59,31 +59,29 @@ class CorpusSummary:
     measures: dict[str, MeasureSummary] = field(default_factory=dict)
 
 
-def measure_values(corpus: list[UtteranceStats], name: str) -> np.ndarray:
-    vals = [getattr(u, name) for u in corpus if getattr(u, name) is not None]
+def measure_values(records, name: str) -> np.ndarray:
+    """The non-None values of field ``name`` over the records, as float64."""
+    vals = [getattr(u, name) for u in records if getattr(u, name) is not None]
     return np.asarray(vals, dtype=np.float64)
 
 
-def summarize(corpus: list[UtteranceStats]) -> CorpusSummary:
-    """Per-measure mean/std/median/count over a corpus of utterances.
+def summarize_values(values: np.ndarray) -> MeasureSummary | None:
+    """Mean, population std (divisor N), median and count; None when empty."""
+    if values.size == 0:
+        return None
+    return MeasureSummary(mean=float(np.mean(values)), std=float(np.std(values)),
+                          median=float(np.median(values)), count=values.size)
 
-    Utterances missing a measure are skipped for that measure only; the
-    count records how many contributed.  The std is the population std
-    (divisor N).
-    """
+
+def summarize(corpus: list[UtteranceStats]) -> CorpusSummary:
+    """Per-measure ``summarize_values`` over the utterances that have the measure."""
     if not corpus:
         raise ValueError("empty corpus")
     summary = CorpusSummary()
     for name in MEASURES:
-        vals = measure_values(corpus, name)
-        if vals.size == 0:
-            continue
-        summary.measures[name] = MeasureSummary(
-            mean=float(np.mean(vals)),
-            std=float(np.std(vals)),
-            median=float(np.median(vals)),
-            count=int(vals.size),
-        )
+        measure = summarize_values(measure_values(corpus, name))
+        if measure is not None:
+            summary.measures[name] = measure
     return summary
 
 

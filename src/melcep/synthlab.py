@@ -20,13 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cepstral import mel_cepstrogram, quefrency_power
-from .osmetrics import (
-    MetricConfig,
-    ccentroid_series,
-    croll95_series,
-    cslope_series,
-    hqer_series,
-)
+from .osmetrics import SERIES, MetricConfig, usable_frames
 from .spectral import LogMelSpectrogram
 
 KINDS = ("mel_moving_average", "mel_gaussian_blur", "variance_shrink")
@@ -146,18 +140,9 @@ def noise_spectrogram(rng: np.random.Generator, n_frames: int = 30, n_mels: int 
     return LogMelSpectrogram(np.maximum(values, _LOG_FLOOR))
 
 
-_SERIES_FNS = {
-    "hqer": hqer_series,
-    "cslope": cslope_series,
-    "ccentroid": ccentroid_series,
-    "croll95": croll95_series,
-}
-
-
 def _metric_table(s: LogMelSpectrogram, cfg: MetricConfig, series_fns) -> tuple[dict, np.ndarray]:
     qp = quefrency_power(mel_cepstrogram(s))
-    ok = ~qp.degenerate & (qp.power[1:, :].sum(axis=0) > 0)
-    return {name: fn(qp.power, cfg) for name, fn in series_fns.items()}, ok
+    return {name: fn(qp.power, cfg) for name, fn in series_fns.items()}, usable_frames(qp)
 
 
 @dataclass
@@ -216,7 +201,7 @@ def run_monotonicity_suite(
     if n_spectrograms < 1:
         raise ValueError("n_spectrograms must be at least 1")
     cfg = metric_config or MetricConfig()
-    fns = series_fns or _SERIES_FNS
+    fns = series_fns or SERIES
     names = list(fns)
     results: dict[tuple, StrengthResult] = {}
     for kind in kinds:

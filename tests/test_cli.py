@@ -4,13 +4,16 @@ import multiprocessing
 import os
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from melcep import cli
-from melcep.cli import AGGREGATE_MEASURES, UsageError, load_run_config, main, read_manifest
+from melcep.cli import AGGREGATE_MEASURES, MANIFEST_FIELDS, UsageError, load_run_config, main, read_manifest
 from melcep.spectral import read_blob
 
 from conftest import SR, speechlike, write_wav_bytes
@@ -396,7 +399,7 @@ def test_corpus_stats_bad_manifest_b_fails_before_any_work(corpus, tmp_path, mon
     assert loaded == []
 
 
-@pytest.mark.parametrize("command", ["compare", "corpus-stats"])
+@pytest.mark.parametrize("command", ["features", "compare", "corpus-stats"])
 def test_batch_parallel_matches_serial(corpus, tmp_path, capsys, command):
     _, manifest, rows = corpus
     with_missing = tmp_path / "with_missing.csv"
@@ -405,7 +408,7 @@ def test_batch_parallel_matches_serial(corpus, tmp_path, capsys, command):
     outputs, stderr = [], []
     for workers in ("1", "2"):
         out = tmp_path / f"w{workers}"
-        if command == "compare":
+        if command != "corpus-stats":
             argv = [command, "--manifest", str(with_missing), "--out", str(out)]
         else:
             argv = [command, "--manifest-a", str(with_missing), "--manifest-b", str(manifest),
@@ -414,11 +417,128 @@ def test_batch_parallel_matches_serial(corpus, tmp_path, capsys, command):
         stderr.append(capsys.readouterr().err)
         outputs.append({path.name: path.read_bytes() for path in sorted(out.iterdir())})
     expected = {"errors.log", "aggregate.csv"} | {f"{r['utterance_id']}.report.json" for r in rows}
+    if command == "features":
+        expected = {"errors.log"} | {f"{r['utterance_id']}{suffix}" for r in rows for suffix in (".lmel", ".metrics.csv")}
     if command == "corpus-stats":
         expected = {"errors.log", "stats.csv"}
     assert set(outputs[0]) == expected
     assert outputs[0] == outputs[1]
     assert "utt01x" in stderr[0] and stderr[0] == stderr[1]
+
+
+def test_compare_all_entries_failing_writes_empty_aggregate(corpus, tmp_path, capsys):
+    _, _, rows = corpus
+    manifest = tmp_path / "m.csv"
+    fields = ("utterance_id", "ref_wav")
+    _write_manifest(manifest, [{k: r[k] for k in fields} for r in rows], fields=fields)
+    out = tmp_path / "out"
+    assert main(["compare", "--manifest", str(manifest), "--out", str(out)]) == 2
+    expected = ["measure,mean,std,count"] + [f"{label},,,0" for label, _, _ in AGGREGATE_MEASURES]
+    assert (out / "aggregate.csv").read_text().splitlines() == expected
+    assert len(expected) == 11
+    assert len((out / "errors.log").read_text().splitlines()) == len(rows)
+    assert capsys.readouterr().err.count("entry has no syn_wav") == len(rows)
+
+
+def test_pool_is_capped_at_entry_count(corpus, tmp_path, monkeypatch):
+    _, manifest, rows = corpus
+    sizes = []
+
+    class Recorder(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", Recorder)
+    assert main(["features", "--manifest", str(manifest), "--out", str(tmp_path / "out"), "--workers", "8"]) == 0
+    assert sizes == [len(rows)] == [3]
+
+
+@pytest.mark.parametrize(
+    "config, flags",
+    [
+        ("hop = -2", []),
+        ("highpass_hz = -5", []),
+        ("silence_threshold_db = nan", []),
+        ("", ["--eps", "nan"]),
+        ("hop = 0", []),
+        ("highpass_hz = 0", []),
+        ("silence_trim_ms = inf", []),
+        ("clamp_floor = nan", []),
+        ("target_level_dbfs = inf", []),
+        ("f_max = 20000", []),
+        ("n_fft = 1\nwin_length = 1\nhop = 1", []),
+    ],
+)
+def test_bad_config_values_exit_1_before_any_work(corpus, tmp_path, monkeypatch, config, flags):
+    _, manifest, _ = corpus
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(config + "\n")
+    loaded = []
+    monkeypatch.setattr(cli, "load_wav", loaded.append)
+    out = tmp_path / "out"
+    assert main(["features", "--manifest", str(manifest), "--out", str(out), "--config", str(cfg)] + flags) == 1
+    assert not out.exists()
+    assert loaded == []
+
+
+@pytest.mark.parametrize(
+    "parse, data",
+    [
+        (read_manifest, b"utterance_id,ref_wav\nu\xff,a.wav\n"),
+        (read_manifest, b"utterance_id,ref_wav\nu," + b"a" * 131073 + b"\n"),
+        (load_run_config, b"n_mels = 80\xff\n"),
+    ],
+)
+def test_undecodable_or_oversized_input_is_usage_error(tmp_path, parse, data):
+    path = tmp_path / "input"
+    path.write_bytes(data)
+    with pytest.raises(UsageError):
+        parse(path)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+# No digits in free text: a many-digit n_fft would build a filterbank of gigabytes.
+_TEXT = st.text(st.characters(blacklist_categories=("Nd", "Cs")), max_size=8)
+_NUMBER = st.integers(-9999, 9999).flatmap(
+    lambda n: st.sampled_from([str(n), f"{n / 10:g}", f"{n / 1000:g}", f"{n % 100}e{n // 1000}"])
+)
+_CONFIG_VALUE = _NUMBER | st.sampled_from(["nan", "inf", "-inf", "none", "off", "yes", "ture"]) | _TEXT
+_CONFIG_LINE = st.builds(
+    lambda key, value: f"{key} = {value}", st.sampled_from(sorted(cli._CONFIG_KEYS)) | _TEXT, _CONFIG_VALUE
+) | _TEXT
+_MANIFEST = st.builds(
+    lambda header, rows: "\n".join([",".join(header)] + [",".join(row) for row in rows]),
+    st.lists(st.sampled_from(MANIFEST_FIELDS + ("x",)), max_size=8)
+    | st.lists(st.sampled_from(MANIFEST_FIELDS[2:]), unique=True).map(lambda extra: ["utterance_id", "ref_wav"] + extra),
+    st.lists(st.lists(_NUMBER | _TEXT, max_size=8), max_size=5),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.binary(max_size=300) | _MANIFEST.map(str.encode))
+def test_read_manifest_parses_or_raises_usage_error(fuzz_dir, data):
+    path = fuzz_dir / "manifest.csv"
+    path.write_bytes(data)
+    try:
+        read_manifest(path)
+    except UsageError:
+        pass
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.binary(max_size=300) | st.lists(_CONFIG_LINE, max_size=8).map(lambda lines: "\n".join(lines).encode()))
+def test_load_run_config_parses_or_raises_usage_error(fuzz_dir, data):
+    path = fuzz_dir / "config.txt"
+    path.write_bytes(data)
+    try:
+        load_run_config(path)
+    except UsageError:
+        pass
 
 
 def test_subcommands_agree_on_shared_measures(tmp_path):

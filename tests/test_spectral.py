@@ -10,9 +10,9 @@ from melcep.spectral import (
     LogMelSpectrogram,
     MelConfig,
     StftConfig,
-    filter_centers_hz,
     hz_to_mel,
     log_mel,
+    mel_band_edges,
     mel_filterbank,
     mel_to_hz,
     read_blob,
@@ -26,6 +26,11 @@ from oracles import naive_rdft, slaney_filterbank_reference
 
 CFG = StftConfig()
 MEL = MelConfig()
+
+
+def filter_centers_hz(cfg: MelConfig) -> np.ndarray:
+    """Center frequency of each mel filter in Hz."""
+    return mel_to_hz(np.linspace(hz_to_mel(cfg.f_min), hz_to_mel(cfg.f_max), cfg.n_mels + 2))[1:-1]
 
 
 def test_one_second_gives_86_frames():
@@ -109,6 +114,25 @@ def test_filterbank_matches_independent_reference():
 def test_filterbank_rejects_fmax_above_nyquist():
     with pytest.raises(ValueError, match="Nyquist"):
         mel_filterbank(MelConfig(f_max=12000.0), SR, 1024)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n_mels=st.integers(2, 60),
+    rate=st.sampled_from([8000, 16000, 22050]),
+    n_fft=st.integers(2, 256),
+    f_min=st.floats(0.0, 3000.0),
+    span=st.floats(0.05, 0.95),
+)
+def test_mel_band_edges_rejects_exactly_the_empty_bands(n_mels, rate, n_fft, f_min, span):
+    """The support check on band edges agrees with summing a built filterbank."""
+    f_max = f_min + span * (rate / 2 - f_min)
+    cfg = MelConfig(n_mels=n_mels, f_min=f_min, f_max=f_max)
+    if (slaney_filterbank_reference(n_mels, f_min, f_max, rate, n_fft).sum(axis=1) <= 0).any():
+        with pytest.raises(ValueError, match="empty FFT-bin support"):
+            mel_band_edges(cfg, rate, n_fft)
+    else:
+        mel_band_edges(cfg, rate, n_fft)
 
 
 def test_mel_scale_round_trip():
