@@ -226,8 +226,8 @@ def silence_mask(x: np.ndarray, rate: int, threshold_db: float) -> np.ndarray:
         return np.full(n, rms_dbfs(x) < threshold_db)
     n_frames = 1 + (n - frame) // hop
     starts = np.arange(n_frames) * hop
-    windows = np.lib.stride_tricks.sliding_window_view(x, frame)[::hop]
-    frame_db = 10.0 * np.log10(np.maximum(np.mean(np.square(windows), axis=1), _DB_FLOOR**2))
+    windows = np.lib.stride_tricks.sliding_window_view(np.square(x), frame)[::hop]
+    frame_db = 10.0 * np.log10(np.maximum(np.mean(windows, axis=1), _DB_FLOOR**2))
     silent = frame_db < threshold_db
     counts = np.full(n_frames, hop)
     counts[-1] = n - starts[-1]

@@ -15,6 +15,7 @@ Lower values of all four indicate stronger oversmoothing.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -79,9 +80,9 @@ class UtteranceMetrics:
     def to_csv(self, path) -> None:
         columns = (self.frame_indices, self.hqer, self.cslope, self.ccentroid, self.croll95)
         rows = zip(*(column.tolist() for column in columns))
-        lines = [f"{int(i)},{h:.6g},{s:.6g},{c:.6g},{int(r)}\n" for i, h, s, c, r in rows]
+        body = "%d,%.6g,%.6g,%.6g,%d\n" * self.n_frames % tuple(itertools.chain.from_iterable(rows))
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write("frame_index,hqer,cslope,ccentroid,croll95\n" + "".join(lines))
+            fh.write("frame_index,hqer,cslope,ccentroid,croll95\n" + body)
 
 
 def _power_matrix(p) -> np.ndarray:

@@ -65,12 +65,29 @@ def measure_values(records, name: str) -> np.ndarray:
     return np.asarray(vals, dtype=np.float64)
 
 
+def _median(values: np.ndarray) -> float:
+    """``np.median`` of a non-empty 1-D float array, bit for bit: the middle
+    sorted value, or the mean of the two middle ones; NaN if any value is NaN.
+    Like ``np.mean``'s sum, it starts from +0.0, so a median of -0.0 reads 0.0.
+
+    ``np.median`` imports ``numpy.ma`` on its first call, which costs more
+    than all of a small summary.
+    """
+    ordered = np.sort(values)
+    if np.isnan(ordered[-1]):
+        return math.nan
+    mid = ordered.size // 2
+    if ordered.size % 2:
+        return float(ordered[mid]) + 0.0
+    return (float(ordered[mid - 1]) + float(ordered[mid]) + 0.0) / 2.0
+
+
 def summarize_values(values: np.ndarray) -> MeasureSummary | None:
     """Mean, population std (divisor N), median and count; None when empty."""
     if values.size == 0:
         return None
     return MeasureSummary(mean=float(np.mean(values)), std=float(np.std(values)),
-                          median=float(np.median(values)), count=values.size)
+                          median=_median(values), count=values.size)
 
 
 def summarize(corpus: list[UtteranceStats]) -> CorpusSummary:
@@ -171,8 +188,9 @@ def mann_whitney_u(x, y) -> tuple[float, float]:
     if n1 < 1 or n2 < 1:
         raise ValueError("both samples must be non-empty")
     u, ranked = _u_statistic(x, y)
-    pooled = np.concatenate([x, y])
-    has_ties = np.unique(pooled).size < pooled.size
+    # ties as np.unique counts them (all NaNs one value), without its numpy.ma import
+    ordered = np.sort(np.concatenate([x, y]))
+    has_ties = bool((ordered[1:] == ordered[:-1]).any() or np.isnan(ordered[-2:]).all())
     if not has_ties and n1 + n2 <= EXACT_MAX_N:
         return float(u), exact_p(u, n1, n2)
     return float(u), normal_p(u, n1, n2, ranked)

@@ -272,6 +272,34 @@ def gate_silent_segments(x: np.ndarray, rate: int, threshold_db: float) -> list[
     return segments
 
 
+def reflect_pad_reference(x: np.ndarray, pad: int) -> np.ndarray:
+    """Reflection padding by index arithmetic: sample i of the padded signal
+    reads x at i - pad folded into [0, n) with period 2*(n-1)."""
+    n = x.size
+    if n == 1:
+        return np.full(n + 2 * pad, x[0])
+    period = 2 * (n - 1)
+    idx = np.mod(np.arange(-pad, n + pad), period)
+    return x[np.where(idx >= n, period - idx, idx)]
+
+
+def stft_full_reference(x: np.ndarray, window: np.ndarray, hop: int) -> np.ndarray:
+    """Complex STFT, bins x frames, in one pass: every reflection-padded frame
+    windowed into one array and transformed by one rfft."""
+    xp = reflect_pad_reference(x, (window.size - hop) // 2)
+    frames = np.lib.stride_tricks.sliding_window_view(xp, window.size)[::hop]
+    return np.fft.rfft(frames * window, axis=1).T
+
+
+def log_mel_full_reference(x: np.ndarray, window: np.ndarray, hop: int, fb: np.ndarray,
+                           clamp_floor: float) -> np.ndarray:
+    """ln(max(fb @ |STFT|, clamp_floor)) from the one-pass STFT, as full-length
+    arrays.  The window and filterbank come from the caller; the tests check
+    them against scipy and ``slaney_filterbank_reference``."""
+    spec = np.abs(stft_full_reference(x, window, hop))
+    return np.log(np.maximum(fb @ spec, clamp_floor))
+
+
 def pearson_reference(x, y) -> float:
     """Pearson correlation from the definition."""
     x = np.asarray(x, dtype=float)

@@ -200,6 +200,19 @@ def test_silence_mask_matches_loop(n, rate, threshold, seed):
     assert np.array_equal(audio.silence_mask(x, rate, threshold), silence_mask_loop(x, rate, threshold))
 
 
+def test_silence_mask_memory_stays_near_one_signal():
+    # the 20 ms frames overlap 2x: square the signal once, not each frame's copy
+    x = np.random.default_rng(4).normal(0.0, 0.1, 60 * SR)
+    tracemalloc.start()
+    try:
+        mask = audio.silence_mask(x, SR, -45.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert mask.size == x.size
+    assert peak <= 1.25 * x.nbytes
+
+
 def _scipy_load_wav(path) -> Waveform:
     """``load_wav`` as it read files through ``scipy.io.wavfile``."""
     try:

@@ -624,3 +624,16 @@ def test_dying_worker_fails_unfinished_entries(tmp_path, monkeypatch, capsys):
             assert (out / f"{utt}.metrics.csv").read_text().startswith("frame_index,")
     workers = set(pids.read_text().split())
     assert 1 <= len(workers) <= 2 and str(os.getpid()) not in workers
+
+
+@pytest.mark.parametrize("command", ["compare", "corpus-stats"])
+def test_batch_run_leaves_numpy_ma_unimported(corpus, tmp_path, command):
+    """``np.median`` imports numpy.ma on first use; the summaries do without it."""
+    m = str(corpus[1])
+    argv = (["compare", "--manifest", m, "--out", str(tmp_path / "cmp")] if command == "compare"
+            else ["corpus-stats", "--manifest-a", m, "--manifest-b", m, "--out", str(tmp_path / "stats.csv")])
+    code = f"import sys; from melcep.cli import main; rc = main({argv!r}); print(rc, 'numpy.ma' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "False"]

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,7 +24,13 @@ from melcep.spectral import (
 )
 
 from conftest import SR, speechlike, tone
-from oracles import naive_rdft, slaney_filterbank_reference
+from oracles import (
+    log_mel_full_reference,
+    naive_rdft,
+    reflect_pad_reference,
+    slaney_filterbank_reference,
+    stft_full_reference,
+)
 
 CFG = StftConfig()
 MEL = MelConfig()
@@ -94,6 +102,15 @@ def test_reflect_pad_longer_than_signal():
     # period-4 bounce: ... 2 3 2 1 | 1 2 3 wait, no edge duplication
     assert np.array_equal(out[5:8], x)
     assert out[4] == 2.0 and out[3] == 3.0 and out[2] == 2.0
+
+
+def test_reflect_pad_edges():
+    # pads below n take the slice path and match numpy; longer ones keep bouncing
+    for n in (1, 2, 3):
+        x = np.arange(1.0, n + 1.0)
+        for pad in sorted({p for p in (0, 1, n - 2, n - 1, n, 2 * n, 5 * n) if p >= 0}):
+            ref = np.pad(x, pad, mode="reflect") if pad < n else reflect_pad_reference(x, pad)
+            assert np.array_equal(reflect_pad(x, pad), ref), (n, pad)
 
 
 def test_filterbank_rows_positive_and_centers_increase():
@@ -185,6 +202,58 @@ def test_log_mel_finite_for_random_input(rng):
     s = log_mel(Waveform(x, SR))
     assert np.isfinite(s.values).all()
     assert (s.values >= np.log(1e-5) - 1e-12).all()
+
+
+@st.composite
+def _front_end_cases(draw):
+    """A rate, STFT and mel configuration the filterbank accepts, and a length
+    of one hop up to a few frame blocks, often a block boundary +-1 frame."""
+    rate = draw(st.sampled_from([8000, 11025, 16000, 22050, 44100, 48000]))
+    n_fft = draw(st.sampled_from([256, 512, 1024, 2048]))
+    win_length = draw(st.integers(n_fft // 2, n_fft))
+    hop = draw(st.integers(1, win_length // 2).filter(lambda h: (n_fft - h) % 2 == 0))
+    f_max = draw(st.floats(rate / 8, rate / 2))
+    mel = dict(f_min=draw(st.floats(0.0, f_max / 4)), f_max=f_max,
+               clamp_floor=draw(st.sampled_from([1e-5, 1e-9, 1e-2])))
+    n_mels = draw(st.integers(2, 80))
+    while n_mels > 2:  # halve until every band has FFT bins; two bands always do here
+        try:
+            mel_band_edges(MelConfig(n_mels=n_mels, **mel), rate, n_fft)
+            break
+        except ValueError:
+            n_mels //= 2
+    mel_cfg = MelConfig(n_mels=max(n_mels, 2), **mel)
+    block = spectral._BLOCK_FRAMES
+    frames = draw(st.integers(1, 3 * block + 1) | st.sampled_from([1, block - 1, block, block + 1, 2 * block + 1]))
+    n = frames * hop + draw(st.integers(0, hop - 1))  # n // hop frames
+    return rate, StftConfig(n_fft=n_fft, win_length=win_length, hop=hop), mel_cfg, n
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=_front_end_cases(), seed=st.integers(0, 2**16))
+def test_blocked_log_mel_equals_full_pass(case, seed):
+    rate, cfg, mel_cfg, n = case
+    x = np.random.default_rng(seed).normal(0.0, 0.1, n)
+    w = Waveform(x, rate)
+    window = spectral._stft_window(cfg)
+    fb = mel_filterbank(mel_cfg, rate, cfg.n_fft)
+    s = log_mel(w, cfg, mel_cfg)
+    assert s.n_frames == n // cfg.hop
+    assert np.array_equal(s.values, log_mel_full_reference(x, window, cfg.hop, fb, mel_cfg.clamp_floor))
+    assert np.array_equal(stft(w, cfg), stft_full_reference(x, window, cfg.hop))
+
+
+def test_log_mel_memory_is_a_few_kb_per_frame():
+    # 60 s at 22.05 kHz: no windowed or complex array as long as the signal
+    w = Waveform(np.random.default_rng(3).normal(0.0, 0.1, 60 * SR), SR)
+    log_mel(w)  # filterbank and FFT plan caches
+    tracemalloc.start()
+    try:
+        s = log_mel(w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 1024 * s.n_frames + 2 * 2**20
 
 
 def test_blob_round_trip_bit_exact(tmp_path, rng):

@@ -150,3 +150,20 @@ def test_midranks_equal_rankdata_on_tied_draws(rng):
         assert np.array_equal(stats._midranks(a), rankdata(a))
     a = np.array([3.0, np.nan, 1.0, 3.0])
     assert np.array_equal(stats._midranks(a), rankdata(a), equal_nan=True)
+
+
+_EDGE_VALUES = [0.0, -0.0, 1.0, -1.0, 2.5, 5e-324, 1e308, -1e308, math.inf, -math.inf, math.nan]
+
+
+@settings(max_examples=400, deadline=None)
+@given(values=st.lists(st.sampled_from(_EDGE_VALUES) | st.floats(allow_nan=True), min_size=1, max_size=12))
+def test_median_equals_numpy_median(values):
+    # odd and even sizes, NaN, inf, signed zeros and overflowing middle pairs
+    values = np.array(values)
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = np.median(values)
+    got = stats._median(values)
+    if math.isnan(expected):
+        assert math.isnan(got)
+    else:
+        assert got == expected and math.copysign(1.0, got) == math.copysign(1.0, expected)
