@@ -18,6 +18,7 @@ import argparse
 import csv
 import functools
 import math
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -54,6 +55,31 @@ AGGREGATE_MEASURES = (
 
 class UsageError(Exception):
     pass
+
+
+def _keep_freed_heap() -> None:
+    """Keep the heap that one utterance frees for the next, under glibc.
+
+    glibc sets its mmap and trim thresholds from the largest recent free.
+    For short utterances that is about 0.5 MB, so each utterance's 1-2 MB
+    of temporaries would go back to the kernel and be faulted in again by
+    the next one.  Fixed thresholds, which also stop that adjustment, keep
+    them in the heap until the process exits.  Set before the worker pool
+    forks, so the workers inherit it.  A no-op where glibc's mallopt is
+    absent (macOS, Windows, musl).
+    """
+    try:
+        if not os.confstr("CS_GNU_LIBC_VERSION"):
+            return
+        import ctypes
+
+        mallopt = ctypes.CDLL(None).mallopt
+    except (ImportError, OSError, AttributeError, ValueError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+    mallopt(-1, 256 << 20)  # M_TRIM_THRESHOLD
 
 
 @dataclass(frozen=True)
@@ -187,7 +213,9 @@ def read_manifest(path) -> list[ManifestEntry]:
             try:
                 token = int(token)
             except ValueError:
-                raise UsageError(f"manifest line {lineno}: token_count must be an integer") from None
+                token = -1
+            if token < 0:
+                raise UsageError(f"manifest line {lineno}: token_count must be a non-negative integer")
         if cell("f0_syn") is not None and cell("syn_wav") is None:
             raise UsageError(f"manifest line {lineno}: f0_syn given without syn_wav")
         entries.append(
@@ -419,6 +447,7 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
+    _keep_freed_heap()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -411,6 +411,7 @@ def build_report(
 def load_pitch_csv(path, hop: int = 256, sample_rate: int = 22050) -> PitchContour:
     """Read a pitch contour CSV with header ``time_s,f0_hz``.
 
+    Every cell is a finite number, except that an f0 cell may be empty.
     Empty or non-positive f0 cells mark unvoiced frames.  Frame times must
     be uniformly spaced at hop/sample_rate seconds (within 1e-6 s).
     """
@@ -424,9 +425,16 @@ def load_pitch_csv(path, hop: int = 256, sample_rate: int = 22050) -> PitchConto
         for row in reader:
             if not row or not row[0].strip():
                 continue
-            times.append(float(row[0]))
             cell = row[1].strip() if len(row) > 1 else ""
-            f0.append(float(cell) if cell else 0.0)
+            try:
+                t, hz = float(row[0]), float(cell) if cell else 0.0
+            except ValueError:
+                t = hz = math.nan
+            # a NaN time would pass the spacing check below: NaN > 1e-6 is False
+            if not (math.isfinite(t) and math.isfinite(hz)):
+                raise ValueError(f"pitch CSV {path!s} row {reader.line_num}: expected finite numbers, got {row[:2]!r}")
+            times.append(t)
+            f0.append(hz)
     if not times:
         raise ValueError(f"pitch CSV {path!s} has no rows")
     expected_dt = hop / sample_rate

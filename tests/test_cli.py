@@ -363,6 +363,37 @@ def test_read_manifest_validation(tmp_path):
         read_manifest(manifest)
 
 
+def test_negative_token_count_is_usage_error(corpus, tmp_path, capsys):
+    """A negative count gave a negative ``spr`` and ``delta_spr``."""
+    manifest = tmp_path / "m.csv"
+    manifest.write_text("utterance_id,ref_wav,token_count\nu1,a.wav,0\nu2,b.wav,-7\n")
+    with pytest.raises(UsageError, match="line 3: token_count must be a non-negative integer"):
+        read_manifest(manifest)
+    out = tmp_path / "stats.csv"
+    assert main(["corpus-stats", "--manifest-a", str(manifest), "--manifest-b", str(corpus[1]), "--out", str(out)]) == 1
+    assert "token_count" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "bad_rows", ["0.0,100\nnan,110\n0.02322,120", "0.0,100\n0.01161,nan\n0.02322,120"], ids=["nan-time", "nan-f0"]
+)
+def test_non_finite_pitch_cell_fails_its_entry(corpus, tmp_path, bad_rows):
+    _, manifest, rows = corpus
+    bad_f0 = tmp_path / "bad.f0.csv"
+    bad_f0.write_text("time_s,f0_hz\n" + bad_rows + "\n")
+    fields = ("utterance_id", "ref_wav", "f0_ref", "token_count")
+    good = [{name: row[name] for name in fields} for row in rows]
+    with_bad = tmp_path / "a.csv"
+    _write_manifest(with_bad, good + [dict(good[0], utterance_id="zz_bad", f0_ref=str(bad_f0))], fields=fields)
+    out = tmp_path / "stats" / "stats.csv"
+    argv = ["corpus-stats", "--manifest-a", str(with_bad), "--manifest-b", str(manifest), "--out", str(out)]
+    assert main(argv) == 2
+    assert out.exists()
+    (line,) = (out.parent / "errors.log").read_text().splitlines()
+    assert line.startswith(f"a\tzz_bad\tValueError: pitch CSV {bad_f0} row 3: expected finite numbers")
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -576,12 +607,74 @@ def test_subcommands_agree_on_shared_measures(tmp_path):
 
 
 def test_runtime_imports_no_scipy():
+    """Importing melcep loads no scipy and needs no ctypes: the allocator
+    policy imports it when ``main`` runs.  numpy imports ctypes when it can,
+    so ctypes is blocked rather than looked for in ``sys.modules``."""
     src = Path(__file__).resolve().parents[1] / "src"
-    code = "import sys, melcep, melcep.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    code = ("import sys; sys.modules['ctypes'] = None; import melcep, melcep.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     env = dict(os.environ, PYTHONPATH=str(src))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def _raise(exc):
+    def confstr(name):
+        raise exc(name)
+    return confstr
+
+
+@pytest.mark.parametrize(
+    "confstr",
+    [_raise(ValueError), _raise(OSError), _raise(AttributeError), lambda name: None],
+    ids=["ValueError", "OSError", "AttributeError", "None"],
+)
+def test_keep_freed_heap_is_a_no_op_off_glibc(monkeypatch, confstr):
+    import ctypes
+
+    def no_cdll(*args, **kwargs):
+        raise AssertionError("mallopt looked up without glibc")
+
+    monkeypatch.setattr(os, "confstr", confstr)
+    monkeypatch.setattr(ctypes, "CDLL", no_cdll)
+    assert cli._keep_freed_heap() is None
+
+
+def test_second_batch_reuses_freed_heap(tmp_path):
+    """Under the allocator policy a second serial corpus-stats run over short
+    utterances reuses the heap the first one freed.  With glibc's adaptive
+    thresholds it faulted in about 400-600 pages per utterance again."""
+    try:
+        glibc = os.confstr("CS_GNU_LIBC_VERSION")
+    except (AttributeError, OSError, ValueError):
+        glibc = None
+    if not glibc:
+        pytest.skip("the policy is set through glibc's mallopt")
+    rng = np.random.default_rng(23)
+    fields = ("utterance_id", "ref_wav", "f0_ref", "token_count")
+    manifests = []
+    for side in ("a", "b"):
+        rows = []
+        for k in range(12):
+            utt, seconds = f"{side}{k:02d}", 0.8 + 0.2 * k
+            wav, f0 = tmp_path / f"{utt}.wav", tmp_path / f"{utt}.f0.csv"
+            write_wav_bytes(wav, speechlike(rng, seconds), SR, "pcm16")
+            _write_pitch(f0, 120.0 + 10.0 * np.sin(np.arange(int(seconds / HOP_S)) / 7.0))
+            rows.append({"utterance_id": utt, "ref_wav": str(wav), "f0_ref": str(f0), "token_count": 20 + k})
+        manifests.append(tmp_path / f"{side}.csv")
+        _write_manifest(manifests[-1], rows, fields=fields)
+    argv = ["corpus-stats", "--manifest-a", str(manifests[0]), "--manifest-b", str(manifests[1]),
+            "--out", str(tmp_path / "stats.csv")]
+    code = (f"import resource; from melcep.cli import main; argv = {argv!r}\n"
+            "first = main(argv); before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "second = main(argv); print(first, second, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    first, second, faults = map(int, proc.stdout.split())
+    assert first == second == 0
+    assert faults < 50 * 24
 
 
 def test_dying_worker_fails_unfinished_entries(tmp_path, monkeypatch, capsys):

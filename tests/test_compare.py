@@ -1,4 +1,5 @@
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -448,6 +449,27 @@ def test_load_pitch_csv_rejects_nonuniform_times(tmp_path):
     path = tmp_path / "f0.csv"
     path.write_text("time_s,f0_hz\n0.0,100\n0.0116,101\n0.5,102\n")
     with pytest.raises(ValueError, match="uniform"):
+        load_pitch_csv(path)
+
+
+# The NaN time passed the spacing check (NaN > 1e-6 is False) and the NaN f0
+# read as unvoiced.
+@pytest.mark.parametrize(
+    "rows, bad_row",
+    [
+        ("0.0,100\nnan,110\n0.02322,120", 3),
+        ("0.0,100\n0.01161,nan\n0.02322,120", 3),
+        ("0.0,100\n0.01161,110\n0.02322,inf", 4),
+        ("-inf,100", 2),
+        ("0.0,100\n0.01161,-inf", 3),
+        ("0.0,100\n0.01161,fast", 3),
+    ],
+    ids=["nan-time", "nan-f0", "inf-f0", "minus-inf-time", "minus-inf-f0", "text-f0"],
+)
+def test_load_pitch_csv_rejects_non_finite_cells(tmp_path, rows, bad_row):
+    path = tmp_path / "f0.csv"
+    path.write_text("time_s,f0_hz\n" + rows + "\n")
+    with pytest.raises(ValueError, match=f"{re.escape(str(path))} row {bad_row}: expected finite numbers"):
         load_pitch_csv(path)
 
 
