@@ -138,7 +138,6 @@ _CONFIG_KEYS = {
     "cutoff_q": ("metric", int),
     "eps": ("metric", _finite_float),
     "rolloff_fraction": ("metric", _finite_float),
-    "soft_tau": ("metric", _finite_float),
 }
 
 

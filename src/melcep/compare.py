@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, make_dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -78,11 +78,10 @@ class MelDistances(NamedTuple):
     sconv: float
 
 
-class MetricCurveMae(NamedTuple):
-    hqer: float
-    cslope: float
-    ccentroid: float
-    croll95: float
+MetricCurveMae = NamedTuple("MetricCurveMae", [(name, float) for name in METRIC_NAMES])
+
+# The utterance-level measures of UtteranceBundle.measures(), in report order.
+MEASURES = ("mu_f0", "sigma_f0", "spr", *METRIC_NAMES)
 
 
 @dataclass
@@ -99,57 +98,39 @@ class UtteranceBundle:
 
         ``mu_f0`` and ``sigma_f0`` are the mean and population std of the
         voiced f0; ``spr`` is the speaking rate in tokens per second of
-        audio; the four metric names map to their utterance means.
+        audio; the metric names map to their utterance means.
         """
         voiced = self.pitch.voiced_f0() if self.pitch is not None else np.empty(0)
         has_tokens = self.token_count is not None and self.duration_s > 0
-        out = {
-            "mu_f0": float(np.mean(voiced)) if voiced.size else None,
-            "sigma_f0": float(np.std(voiced)) if voiced.size else None,
-            "spr": self.token_count / self.duration_s if has_tokens else None,
-        }
-        for name in METRIC_NAMES:
-            out[name] = None if self.metrics is None else self.metrics.means[name]
-        return out
+        values = (  # in MEASURES order
+            float(np.mean(voiced)) if voiced.size else None,
+            float(np.std(voiced)) if voiced.size else None,
+            self.token_count / self.duration_s if has_tokens else None,
+            *(None if self.metrics is None else self.metrics.means[name] for name in METRIC_NAMES),
+        )
+        return dict(zip(MEASURES, values))
 
 
-class UtteranceDeltas(NamedTuple):
-    delta_mu_f0: float | None
-    delta_sigma_f0: float | None
-    delta_spr: float | None
-    delta_hqer: float | None
-    delta_cslope: float | None
-    delta_ccentroid: float | None
-    delta_croll95: float | None
+UtteranceDeltas = NamedTuple("UtteranceDeltas", [(f"delta_{name}", float | None) for name in MEASURES])
 
 
-@dataclass
-class ComparisonReport:
-    """All paired scores for one reference/synthesis utterance pair."""
+def _report_json(report) -> str:
+    def round6(v):
+        return None if v is None else float(format(v, ".6g"))
 
-    l1: float
-    l2: float
-    sconv: float
-    f0_rmse: float | None
-    pearson_r: float | None
-    vuv_error: float | None
-    mae_hqer: float | None
-    mae_cslope: float | None
-    mae_ccentroid: float | None
-    mae_croll95: float | None
-    delta_mu_f0: float | None
-    delta_sigma_f0: float | None
-    delta_spr: float | None
-    delta_hqer: float | None
-    delta_cslope: float | None
-    delta_ccentroid: float | None
-    delta_croll95: float | None
+    return json.dumps({f.name: round6(getattr(report, f.name)) for f in fields(report)})
 
-    def to_json(self) -> str:
-        def round6(v):
-            return None if v is None else float(format(v, ".6g"))
 
-        return json.dumps({f.name: round6(getattr(self, f.name)) for f in fields(self)})
+# The mel distances, pitch metrics, metric-curve MAEs and deltas, in that
+# order.  ``__module__`` names this module, so that reports pickle across the
+# worker pool.
+ComparisonReport = make_dataclass(
+    "ComparisonReport",
+    [*MelDistances._fields, *PitchMetrics._fields, *(f"mae_{name}" for name in MetricCurveMae._fields),
+     *UtteranceDeltas._fields],
+    namespace={"__module__": __name__, "to_json": _report_json,
+               "__doc__": "All paired scores for one reference/synthesis utterance pair; None marks missing."},
+)
 
 
 def _pairwise_distance(a: np.ndarray, b: np.ndarray, distance: str, out: np.ndarray) -> None:
@@ -381,7 +362,7 @@ def utterance_deltas(ref: UtteranceBundle, syn: UtteranceBundle) -> UtteranceDel
     missing delta, never zero.
     """
     r, s = ref.measures(), syn.measures()
-    return UtteranceDeltas(**{f"delta_{k}": None if r[k] is None or s[k] is None else s[k] - r[k] for k in r})
+    return UtteranceDeltas(*(None if r[k] is None or s[k] is None else s[k] - r[k] for k in MEASURES))
 
 
 def build_report(
@@ -399,13 +380,8 @@ def build_report(
     if ref_bundle.metrics is not None and syn_bundle.metrics is not None:
         mae = metric_curve_mae(ref_bundle.metrics, syn_bundle.metrics)
     else:
-        mae = MetricCurveMae(None, None, None, None)
-    return ComparisonReport(
-        **dist._asdict(),
-        **pm._asdict(),
-        **{f"mae_{name}": value for name, value in mae._asdict().items()},
-        **utterance_deltas(ref_bundle, syn_bundle)._asdict(),
-    )
+        mae = MetricCurveMae._make(None for _ in METRIC_NAMES)
+    return ComparisonReport(*dist, *pm, *mae, *utterance_deltas(ref_bundle, syn_bundle))
 
 
 def load_pitch_csv(path, hop: int = 256, sample_rate: int = 22050) -> PitchContour:

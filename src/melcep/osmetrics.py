@@ -22,8 +22,6 @@ import numpy as np
 
 from .cepstral import QuefrencyPower
 
-METRIC_NAMES = ("hqer", "cslope", "ccentroid", "croll95")
-
 
 class DegenerateFrameError(ValueError):
     """Raised when a frame carries no quefrency power above DC."""
@@ -59,7 +57,8 @@ class MetricConfig:
 
 @dataclass
 class UtteranceMetrics:
-    """Framewise metric series over the non-degenerate frames of an utterance."""
+    """Framewise metric series over the non-degenerate frames of an utterance:
+    one array per ``SERIES`` metric, and each metric's utterance mean."""
 
     frame_indices: np.ndarray
     hqer: np.ndarray
@@ -67,35 +66,28 @@ class UtteranceMetrics:
     ccentroid: np.ndarray
     croll95: np.ndarray
     means: dict = field(default_factory=dict)
-    stds: dict = field(default_factory=dict)
 
     @property
     def n_frames(self) -> int:
         return self.frame_indices.size
 
     def as_matrix(self) -> np.ndarray:
-        """Frames x 4 matrix in METRIC_NAMES order, for curve alignment."""
-        return np.stack([self.hqer, self.cslope, self.ccentroid, self.croll95.astype(float)], axis=1)
+        """Frames x metrics float matrix in METRIC_NAMES order, for curve alignment."""
+        return np.stack([getattr(self, name) for name in METRIC_NAMES], axis=1).astype(np.float64, copy=False)
 
     def to_csv(self, path) -> None:
-        columns = (self.frame_indices, self.hqer, self.cslope, self.ccentroid, self.croll95)
-        rows = zip(*(column.tolist() for column in columns))
-        body = "%d,%.6g,%.6g,%.6g,%d\n" * self.n_frames % tuple(itertools.chain.from_iterable(rows))
+        columns = [self.frame_indices] + [getattr(self, name) for name in METRIC_NAMES]
+        # integer columns (frame index, rolloff bin) are written as integers
+        row = ",".join("%d" if column.dtype.kind in "iu" else "%.6g" for column in columns) + "\n"
+        values = itertools.chain.from_iterable(zip(*(column.tolist() for column in columns)))
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write("frame_index,hqer,cslope,ccentroid,croll95\n" + body)
-
-
-def _power_matrix(p) -> np.ndarray:
-    power = p.power if isinstance(p, QuefrencyPower) else np.asarray(p, dtype=np.float64)
-    if power.ndim == 1:
-        power = power[:, None]
-    return power
+            fh.write(",".join(("frame_index",) + METRIC_NAMES) + "\n" + row * self.n_frames % tuple(values))
 
 
 def hqer_series(p, cfg: MetricConfig | None = None) -> np.ndarray:
     """High-quefrency energy ratio per frame; NaN where the frame is degenerate."""
     cfg = cfg or MetricConfig()
-    power = _power_matrix(p)
+    power = np.asarray(p, dtype=np.float64)
     qc = cfg.resolve_cutoff(power.shape[0])
     tail = power[1:, :]
     total = tail.sum(axis=0)
@@ -107,7 +99,7 @@ def hqer_series(p, cfg: MetricConfig | None = None) -> np.ndarray:
 def cslope_series(p, cfg: MetricConfig | None = None) -> np.ndarray:
     """Least-squares slope of 10*log10(P + eps) against q over q = 1..Q-1."""
     cfg = cfg or MetricConfig()
-    power = _power_matrix(p)
+    power = np.asarray(p, dtype=np.float64)
     n_q = power.shape[0]
     if n_q < 3:
         raise ValueError("need at least 3 quefrency bins for a slope")
@@ -119,7 +111,7 @@ def cslope_series(p, cfg: MetricConfig | None = None) -> np.ndarray:
 
 def ccentroid_series(p, cfg: MetricConfig | None = None) -> np.ndarray:
     """Energy-weighted mean quefrency per frame; NaN where degenerate."""
-    power = _power_matrix(p)
+    power = np.asarray(p, dtype=np.float64)
     q = np.arange(1, power.shape[0], dtype=np.float64)
     tail = power[1:, :]
     total = tail.sum(axis=0)
@@ -130,7 +122,7 @@ def ccentroid_series(p, cfg: MetricConfig | None = None) -> np.ndarray:
 def croll95_series(p, cfg: MetricConfig | None = None) -> np.ndarray:
     """Smallest q whose cumulative power fraction reaches the rolloff fraction."""
     cfg = cfg or MetricConfig()
-    power = _power_matrix(p)
+    power = np.asarray(p, dtype=np.float64)
     tail = power[1:, :]
     total = tail.sum(axis=0)
     out = np.full(power.shape[1], np.nan)
@@ -150,7 +142,7 @@ def croll95_soft_series(p, cfg: MetricConfig | None = None) -> np.ndarray:
     the plateau where F has already reached 1.
     """
     cfg = cfg or MetricConfig()
-    power = _power_matrix(p)
+    power = np.asarray(p, dtype=np.float64)
     q = np.arange(1, power.shape[0], dtype=np.float64)
     tail = power[1:, :]
     total = tail.sum(axis=0)
@@ -172,6 +164,7 @@ SERIES = {
     "ccentroid": ccentroid_series,
     "croll95": croll95_series,
 }
+METRIC_NAMES = tuple(SERIES)
 
 
 def usable_frames(qp: QuefrencyPower) -> np.ndarray:
@@ -207,10 +200,9 @@ def croll95_soft(p, cfg: MetricConfig | None = None) -> float:
 
 
 def utterance_metrics(p: QuefrencyPower, cfg: MetricConfig | None = None) -> UtteranceMetrics:
-    """Framewise series over non-degenerate frames plus utterance mean and std.
+    """Framewise series over non-degenerate frames plus their utterance means.
 
-    Degenerate (silent) frames are excluded from the series and from the
-    aggregates; the std is the population standard deviation.
+    Degenerate (silent) frames are excluded from the series and the means.
     """
     cfg = cfg or MetricConfig()
     keep = usable_frames(p)
@@ -219,8 +211,5 @@ def utterance_metrics(p: QuefrencyPower, cfg: MetricConfig | None = None) -> Utt
     power = p.power[:, keep]
     um = UtteranceMetrics(frame_indices=np.flatnonzero(keep), **{name: fn(power, cfg) for name, fn in SERIES.items()})
     um.croll95 = um.croll95.astype(int)
-    for name in METRIC_NAMES:
-        series = getattr(um, name)
-        um.means[name] = float(np.mean(series))
-        um.stds[name] = float(np.std(series))
+    um.means.update((name, float(np.mean(getattr(um, name)))) for name in METRIC_NAMES)
     return um

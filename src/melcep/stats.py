@@ -10,40 +10,25 @@ Mann-Whitney U test.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, make_dataclass
 
 import numpy as np
 
-MEASURES = (
-    "duration_s",
-    "phonemes_per_utterance",
-    "spr",
-    "mu_f0",
-    "sigma_f0",
-    "hqer",
-    "cslope",
-    "ccentroid",
-    "croll95",
-)
+from .osmetrics import METRIC_NAMES
+
+# The rows of the corpus-stats table, in order.
+MEASURES = ("duration_s", "phonemes_per_utterance", "spr", "mu_f0", "sigma_f0", *METRIC_NAMES)
 
 # Largest combined sample size handled by exact enumeration (untied samples).
 EXACT_MAX_N = 12
 
-
-@dataclass
-class UtteranceStats:
-    """Per-utterance measures entering a corpus summary; None marks missing."""
-
-    utterance_id: str
-    duration_s: float | None = None
-    phonemes_per_utterance: float | None = None
-    spr: float | None = None
-    mu_f0: float | None = None
-    sigma_f0: float | None = None
-    hqer: float | None = None
-    cslope: float | None = None
-    ccentroid: float | None = None
-    croll95: float | None = None
+# ``__module__`` names this module, so that records pickle across the worker pool.
+UtteranceStats = make_dataclass(
+    "UtteranceStats",
+    [("utterance_id", str), *((name, float | None, None) for name in MEASURES)],
+    namespace={"__module__": __name__,
+               "__doc__": "Per-utterance measures entering a corpus summary; None marks missing."},
+)
 
 
 @dataclass

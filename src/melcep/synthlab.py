@@ -183,10 +183,6 @@ def run_monotonicity_suite(
     n_spectrograms: int = 100,
     n_frames: int = 30,
     seed: int = DEFAULT_SEED,
-    kinds=KINDS,
-    filter_strengths=FILTER_STRENGTHS,
-    shrink_strengths=SHRINK_STRENGTHS,
-    metric_config: MetricConfig | None = None,
     series_fns: dict | None = None,
 ) -> SuiteReport:
     """Check framewise metric monotonicity under degradation.
@@ -200,12 +196,12 @@ def run_monotonicity_suite(
     """
     if n_spectrograms < 1:
         raise ValueError("n_spectrograms must be at least 1")
-    cfg = metric_config or MetricConfig()
+    cfg = MetricConfig()
     fns = series_fns or SERIES
     names = list(fns)
     results: dict[tuple, StrengthResult] = {}
-    for kind in kinds:
-        strengths = shrink_strengths if kind == "variance_shrink" else filter_strengths
+    for kind in KINDS:
+        strengths = SHRINK_STRENGTHS if kind == "variance_shrink" else FILTER_STRENGTHS
         for strength in strengths:
             if strength == (1.0 if kind == "variance_shrink" else 1):
                 continue

@@ -214,6 +214,11 @@ def test_corpus_stats_same_corpus_high_p(corpus, tmp_path):
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "measure,mean_a,std_a,median_a,count_a,mean_b,std_b,median_b,count_b,p_value"
     assert len(lines) > 5
+    # with token counts and pitch CSVs every measure has a row, in this order
+    assert [line.split(",")[0] for line in lines[1:]] == [
+        "duration_s", "phonemes_per_utterance", "spr", "mu_f0", "sigma_f0",
+        "hqer", "cslope", "ccentroid", "croll95",
+    ]
     for line in lines[1:]:
         assert float(line.split(",")[-1]) >= 0.99
 
@@ -499,6 +504,7 @@ def test_pool_is_capped_at_entry_count(corpus, tmp_path, monkeypatch):
         ("target_level_dbfs = inf", []),
         ("f_max = 20000", []),
         ("n_fft = 1\nwin_length = 1\nhop = 1", []),
+        ("soft_tau = 50", []),  # only croll95_soft reads it, and no subcommand calls that
     ],
 )
 def test_bad_config_values_exit_1_before_any_work(corpus, tmp_path, monkeypatch, config, flags):
