@@ -28,7 +28,7 @@ from . import compare as cmp
 from . import spectral, stats, synthlab
 from .audio import PreprocessConfig, load_wav, preprocess
 from .cepstral import mel_cepstrogram, quefrency_power
-from .osmetrics import SERIES, MetricConfig, utterance_metrics
+from .osmetrics import METRIC_LABELS, METRIC_NAMES, SERIES, MetricConfig, utterance_metrics
 from .spectral import MelConfig, StftConfig, log_mel
 
 EXIT_OK = 0
@@ -46,10 +46,8 @@ AGGREGATE_MEASURES = (
     ("f0_RMSE/Hz", "f0_rmse", 1.0),
     ("Pearson r", "pearson_r", 1.0),
     ("E_V/UV", "vuv_error", 1.0),
-    ("MAE(HQER)/%", "mae_hqer", 100.0),
-    ("MAE(CSlope)/dB/bin", "mae_cslope", 1.0),
-    ("MAE(CCentroid)/bin", "mae_ccentroid", 1.0),
-    ("MAE(CRoll95)/bin", "mae_croll95", 1.0),
+    *((f"MAE({label})/{unit}", f"mae_{name}", scale)
+      for name in METRIC_NAMES for label, unit, scale in [METRIC_LABELS[name]]),
 )
 
 

@@ -169,7 +169,7 @@ def _pairwise_distance(a: np.ndarray, b: np.ndarray, distance: str, out: np.ndar
     raise ValueError(f"unknown distance {distance!r}; expected 'cosine' or 'l2'")
 
 
-def dtw_align(a, b, distance: str = "cosine", band: int | None = None) -> tuple[DtwPath, float]:
+def dtw_align(a, b, distance: str = "cosine") -> tuple[DtwPath, float]:
     """Minimal-cost monotone alignment between two frame sequences.
 
     Parameters
@@ -179,10 +179,6 @@ def dtw_align(a, b, distance: str = "cosine", band: int | None = None) -> tuple[
         value must be finite.
     distance : {"cosine", "l2"}
         Framewise distance: 1 - cosine similarity, or the Euclidean norm.
-    band : int, optional
-        Sakoe-Chiba band half-width around the rescaled diagonal, widened to
-        at least the length difference; cells outside the band are never
-        visited.  None disables the constraint.
 
     Returns
     -------
@@ -196,14 +192,13 @@ def dtw_align(a, b, distance: str = "cosine", band: int | None = None) -> tuple[
         On empty, mismatched or non-finite input, an unknown distance, or
         when every path's cost overflows to infinity (l2 on huge values).
 
-    The cells are swept one anti-diagonal at a time with numpy.  Only three
-    diagonals of accumulated cost are kept, in contiguous buffers, and each
-    cell gets ``d + min(diag, up, left)``.  With finite input every distance
-    and cost lies in [0, inf] (no NaN, no -0.0), so ``np.minimum`` yields
-    the bits of a cell-by-cell loop's strict-``<`` select in the order
-    diag, up, left, and two ``np.less`` masks record its choices.  Time is
-    O(n1*n2) with no per-cell Python work; memory is the float64 distance
-    matrix plus two bool decision arrays, about 10 bytes per cell.
+    Costs are accumulated in place in the distance matrix, one anti-diagonal
+    at a time with numpy: each cell gets ``d + min(diag, up, left)``.  With
+    finite input no distance or cost is NaN or -0.0, so ``np.minimum``
+    yields the bits of a cell-by-cell loop's strict-``<`` select in the
+    order diag, up, left, and the path is traced back from the stored costs
+    with the same comparisons.  Time is O(n1*n2) with no per-cell Python
+    work; memory is the float64 matrix, about 8 bytes per cell.
     """
     a = np.atleast_2d(np.asarray(a, dtype=np.float64))
     b = np.atleast_2d(np.asarray(b, dtype=np.float64))
@@ -214,82 +209,46 @@ def dtw_align(a, b, distance: str = "cosine", band: int | None = None) -> tuple[
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise ValueError("non-finite input: frames must not contain NaN or inf")
     n1, n2 = a.shape[0], b.shape[0]
-    d = np.empty((n1, n2))
-    _pairwise_distance(a, b, distance, d)
+    cost = np.empty((n1, n2))
+    _pairwise_distance(a, b, distance, cost)
 
-    # Row i visits columns lo[i] <= j < hi[i].
-    lo = np.zeros(n1, dtype=np.intp)
-    hi = np.full(n1, n2, dtype=np.intp)
-    if band is not None:
-        window = max(int(band), abs(n1 - n2))
-        scale = (n1 - 1) / (n2 - 1) if n1 > 1 and n2 > 1 else 0.0
-        center = np.array([int(round(i / scale)) if scale > 0 else 0 for i in range(n1)], dtype=np.intp)
-        lo = np.maximum(0, center - window)
-        hi = np.minimum(n2, center + window + 1)
+    # Row 0 and column 0 each have one predecessor.
+    np.cumsum(cost[0], out=cost[0])
+    np.cumsum(cost[:, 0], out=cost[:, 0])
+    # Cell (i, k-i) sits at flat offset i*(n2-1) + k, and its left, up and
+    # diagonal predecessors 1, n2 and n2+1 cells before it.  Anti-diagonal
+    # k's interior cells (i, j >= 1) are the rows i0 <= i < i1; there are
+    # none when either sequence has one frame.
+    flat, step = cost.reshape(-1), n2 - 1
+    best = np.empty(min(n1, n2))
+    for k in range(2, n1 + n2 - 1 if min(n1, n2) > 1 else 2):
+        i0, i1 = max(1, k - step), min(n1, k)
+        s, e = i0 * step + k, i1 * step + k
+        m = best[: i1 - i0]
+        np.minimum(flat[s - n2 - 1 : e - n2 - 1 : step], flat[s - n2 : e - n2 : step], out=m)
+        np.minimum(m, flat[s - 1 : e - 1 : step], out=m)
+        np.add(flat[s:e:step], m, out=flat[s:e:step])
 
-    # Both band edges move right as i grows, so the visited cells (i, k-i) of
-    # anti-diagonal k are the rows first[k] <= i < stop[k], and each bound
-    # moves by at most one row from one diagonal to the next.
-    rows = np.arange(n1)
-    diagonals = np.arange(n1 + n2 - 1)
-    first = np.searchsorted(rows + hi, diagonals, side="right")
-    stop = np.searchsorted(rows + lo, diagonals, side="right")
-    # Decisions of diagonal k's cells, row by row, start at off[k].
-    off = np.zeros(n1 + n2, dtype=np.intp)
-    np.cumsum(stop - first, out=off[1:])
-    first, stop, off = first.tolist(), stop.tolist(), off.tolist()
-    took_up = np.empty(off[-1], dtype=bool)
-    took_left = np.empty(off[-1], dtype=bool)
-    took_up[0] = took_left[0] = False
-
-    # Each buffer holds one diagonal's costs at index row + 1, and cells
-    # outside the band must read inf.  The reads of diagonal k reach one row
-    # past each end of the rows of k-1 and k-2, since the row bounds move by
-    # at most one per diagonal.  Below the rows, a buffer may hold an older
-    # diagonal's cost, so that cell is reset after each write; above them it
-    # still holds its initial inf, because stop never decreases.
-    inf = math.inf
-    prev2, prev, cur = np.full((3, n1 + 2), inf)
-    prev[1] = d[0, 0]
-    # Cell (i, k-i) sits at flat offset i*(n2-1) + k of d.  With n2 == 1
-    # every diagonal has one cell, so the stride is never used.
-    d_flat = d.reshape(-1)
-    stride = max(n2 - 1, 1)
-    for k in range(1, n1 + n2 - 1):
-        i0, i1, o = first[k], stop[k], off[k]
-        n = i1 - i0
-        diag = prev2[i0:i1]
-        up = prev[i0:i1]
-        left = prev[i0 + 1 : i1 + 1]
-        # cur's slot for these rows: the cheapest predecessor, then the cost
-        best = cur[i0 + 1 : i1 + 1]
-        s = i0 * (n2 - 1) + k
-        np.minimum(diag, up, out=best)
-        np.less(up, diag, out=took_up[o : o + n])
-        np.less(left, best, out=took_left[o : o + n])
-        np.minimum(best, left, out=best)
-        np.add(best, d_flat[s : s + n * stride : stride], out=best)
-        cur[i0] = inf
-        prev2, prev, cur = prev, cur, prev2
-
-    total = prev[n1]
+    total = float(cost[n1 - 1, n2 - 1])
     if not math.isfinite(total):
         raise ValueError("every alignment path has infinite cost: the distances or their sums overflow float64")
 
-    # A left decision overrides up, and up overrides diagonal.
-    pairs = [(n1 - 1, n2 - 1)]
+    # The forward pass's comparisons; row 0 and column 0 run straight to (0, 0).
+    at = cost.item
     i, j = n1 - 1, n2 - 1
-    while i or j:
-        c = off[i + j] + i - first[i + j]
-        if took_left[c]:
+    pairs = [(i, j)]
+    while i and j:
+        diag, up, left = at(i - 1, j - 1), at(i - 1, j), at(i, j - 1)
+        if left < min(diag, up):
             j -= 1
-        elif took_up[c]:
+        elif up < diag:
             i -= 1
         else:
             i, j = i - 1, j - 1
         pairs.append((i, j))
+    pairs += [(r, 0) for r in range(i - 1, -1, -1)] + [(0, c) for c in range(j - 1, -1, -1)]
     pairs.reverse()
-    return DtwPath(np.asarray(pairs, dtype=np.intp)), float(total)
+    return DtwPath(np.asarray(pairs, dtype=np.intp)), total
 
 
 def mel_distances(ref: LogMelSpectrogram, syn: LogMelSpectrogram) -> MelDistances:

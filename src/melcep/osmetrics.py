@@ -165,6 +165,13 @@ SERIES = {
     "croll95": croll95_series,
 }
 METRIC_NAMES = tuple(SERIES)
+# Each metric's name, unit and scale in tabulated output (aggregate.csv).
+METRIC_LABELS = {
+    "hqer": ("HQER", "%", 100.0),
+    "cslope": ("CSlope", "dB/bin", 1.0),
+    "ccentroid": ("CCentroid", "bin", 1.0),
+    "croll95": ("CRoll95", "bin", 1.0),
+}
 
 
 def usable_frames(qp: QuefrencyPower) -> np.ndarray:

@@ -167,7 +167,8 @@ class SuiteReport:
         return all(r.passed for r in self.results)
 
     def to_csv(self) -> str:
-        names = list(MONOTONICITY_TOLERANCES)
+        """One row per (kind, strength), with columns for each metric checked."""
+        names = list(self.results[0].violations) if self.results else []
         header = ["kind", "strength", "frames"]
         header += [f"violations_{n}" for n in names] + [f"max_excess_{n}" for n in names]
         lines = [",".join(header)]

@@ -99,15 +99,15 @@ def dtw_enum_min_cost_unpruned(d: np.ndarray) -> float:
     return best[0]
 
 
-def dtw_loop_reference(a, b, distance: str = "cosine", band: int | None = None) -> tuple[np.ndarray, float]:
+def dtw_loop_reference(a, b, distance: str = "cosine") -> tuple[np.ndarray, float]:
     """DTW as a cell-by-cell Python loop: the package's former implementation.
 
     Same contract as ``melcep.compare.dtw_align`` (steps {(1,0), (0,1),
-    (1,1)}, strict ``<`` so ties prefer diagonal, then up, then left; the
-    Sakoe-Chiba band around the rescaled diagonal), but returns the raw
-    ``(i, j)`` pair array and the total cost.  The distance matrix is built
-    in one broadcast, so it also checks that the package's in-place builds
-    (the cosine product, the l2 sum one dimension at a time) keep the bits.
+    (1,1)}, strict ``<`` so ties prefer diagonal, then up, then left), but
+    returns the raw ``(i, j)`` pair array and the total cost.  The distance
+    matrix is built in one broadcast, so it also checks that the package's
+    in-place builds (the cosine product, the l2 sum one dimension at a time)
+    keep the bits.
     A non-finite total raises; ``dtw_align`` rejects NaN/inf input before
     that point with its own message.
     """
@@ -130,11 +130,6 @@ def dtw_loop_reference(a, b, distance: str = "cosine", band: int | None = None) 
     n1, n2 = d.shape
     diag_step, up_step, left_step = 0, 1, 2
 
-    window = None
-    if band is not None:
-        window = max(int(band), abs(n1 - n2))
-        scale = (n1 - 1) / (n2 - 1) if n1 > 1 and n2 > 1 else 0.0
-
     inf = math.inf
     dl = d.tolist()
     cost_prev: list[float] = [inf] * n2
@@ -143,16 +138,7 @@ def dtw_loop_reference(a, b, distance: str = "cosine", band: int | None = None) 
     for i in range(n1):
         row = dl[i]
         binds = back[i]
-        lo, hi = 0, n2
-        if window is not None:
-            center = int(round(i / scale)) if scale > 0 else 0
-            lo = max(0, center - window)
-            hi = min(n2, center + window + 1)
-            for j in range(0, lo):
-                cost_row[j] = inf
-            for j in range(hi, n2):
-                cost_row[j] = inf
-        for j in range(lo, hi):
+        for j in range(n2):
             if i == 0 and j == 0:
                 cost_row[0] = row[0]
                 continue
@@ -163,7 +149,7 @@ def dtw_loop_reference(a, b, distance: str = "cosine", band: int | None = None) 
             if i > 0 and cost_prev[j] < best:
                 best = cost_prev[j]
                 step = up_step
-            if j > lo and cost_row[j - 1] < best:
+            if j > 0 and cost_row[j - 1] < best:
                 best = cost_row[j - 1]
                 step = left_step
             cost_row[j] = row[j] + best

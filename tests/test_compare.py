@@ -111,18 +111,10 @@ def test_dtw_path_shape_invariants(rng):
     assert all(tuple(s) in ((1, 0), (0, 1), (1, 1)) for s in steps)
 
 
-def test_dtw_band_wide_enough_matches_unbanded(rng):
-    a = rng.normal(0, 1, (10, 3))
-    b = rng.normal(0, 1, (14, 3))
-    _, unbanded = dtw_align(a, b, "l2")
-    _, banded = dtw_align(a, b, "l2", band=20)
-    assert banded == unbanded
-
-
 _NONFINITE_ERROR = "non-finite input: frames must not contain NaN or inf"
 
 
-def _assert_matches_loop(a, b, dist, band):
+def _assert_matches_loop(a, b, dist):
     """dtw_align gives the loop's path and cost, or raises its ValueError.
 
     The loop also runs on NaN/inf input, which always ends in a non-finite
@@ -130,17 +122,17 @@ def _assert_matches_loop(a, b, dist, band):
     """
     finite = np.isfinite(a).all() and np.isfinite(b).all()
     try:
-        want_pairs, want_cost = dtw_loop_reference(a, b, dist, band)
+        want_pairs, want_cost = dtw_loop_reference(a, b, dist)
     except ValueError as exc:
         want_error = str(exc) if finite else _NONFINITE_ERROR
     else:
         assert finite, "the loop found a finite path through non-finite input"
-        path, cost = dtw_align(a, b, dist, band)
+        path, cost = dtw_align(a, b, dist)
         assert np.array_equal(path.pairs, want_pairs)
         assert cost == want_cost
         return
     with pytest.raises(ValueError) as got:
-        dtw_align(a, b, dist, band)
+        dtw_align(a, b, dist)
     assert str(got.value) == want_error
 
 
@@ -151,11 +143,10 @@ def _assert_matches_loop(a, b, dist, band):
     st.integers(1, 60),
     st.integers(1, 60),
     st.integers(1, 4),
-    st.one_of(st.none(), st.just(0), st.integers(1, 5), st.integers(60, 200)),
     st.sampled_from(["real", "ties", "nonfinite", "overflow"]),
     st.integers(min_value=0, max_value=2**32 - 1),
 )
-def test_dtw_matches_loop_reference(n1, n2, dims, band, values, seed):
+def test_dtw_matches_loop_reference(n1, n2, dims, values, seed):
     # "ties" draws small integers so many cells tie and the tie order decides
     # the path; "nonfinite" plants a NaN or inf input value; "overflow"
     # scales finite frames so that some l2 distances overflow to +inf (at
@@ -175,26 +166,25 @@ def test_dtw_matches_loop_reference(n1, n2, dims, band, values, seed):
         a *= scale
         b *= scale
     for dist in ("cosine", "l2"):
-        _assert_matches_loop(a, b, dist, band)
+        _assert_matches_loop(a, b, dist)
 
 
-@pytest.mark.parametrize("band", [None, 0])
 @pytest.mark.parametrize("dist", ["cosine", "l2"])
 @pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (2, 9)], ids=lambda s: "%dx%d" % s)
-def test_dtw_edge_shapes_match_loop_reference(rng, shape, dist, band):
-    # n2 == 1 makes the anti-diagonal stride n2 - 1 zero
+def test_dtw_edge_shapes_match_loop_reference(rng, shape, dist):
+    # with one frame on either side the path runs along row 0 or column 0,
+    # and n2 == 1 would make the anti-diagonal stride n2 - 1 zero
     n1, n2 = shape
-    _assert_matches_loop(rng.normal(0, 1, (n1, 3)), rng.normal(0, 1, (n2, 3)), dist, band)
+    _assert_matches_loop(rng.normal(0, 1, (n1, 3)), rng.normal(0, 1, (n2, 3)), dist)
 
 
 def test_dtw_rejects_nonfinite_input():
     for bad in (np.nan, np.inf, -np.inf):
         a = np.array([[bad], [1.0]])
-        for band in (None, 0):
-            with pytest.raises(ValueError, match="^non-finite input"):
-                dtw_align(a, np.zeros((3, 1)), "l2", band)
-            with pytest.raises(ValueError, match="^non-finite input"):
-                dtw_align(np.zeros((3, 1)), a, "cosine", band)
+        with pytest.raises(ValueError, match="^non-finite input"):
+            dtw_align(a, np.zeros((3, 1)), "l2")
+        with pytest.raises(ValueError, match="^non-finite input"):
+            dtw_align(np.zeros((3, 1)), a, "cosine")
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
@@ -215,28 +205,34 @@ def test_l2_distance_build_matches_broadcast(rng, dims):
     assert np.array_equal(out, want)
 
 
-@pytest.mark.parametrize("dist,dims", [("cosine", 80), ("l2", 4), ("l2", 1)])
-def test_dtw_peak_memory_per_cell(rng, dist, dims):
-    # distances (8 B/cell) plus two bool decision arrays (2 B/cell), and no
-    # other array as large as the distance matrix
-    a = rng.normal(0, 1, (600, dims))
-    b = rng.normal(0, 1, (700, dims))
+def _dtw_peak(rng, n1, n2, dist, dims):
+    a = rng.normal(0, 1, (n1, dims))
+    b = rng.normal(0, 1, (n2, dims))
     tracemalloc.start()
     try:
         dtw_align(a, b, dist)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / (600 * 700) <= 11.0
 
 
-@pytest.mark.parametrize("band", [None, 40])
-def test_dtw_matches_loop_reference_large(rng, band):
+@pytest.mark.parametrize("dist,dims", [("cosine", 80), ("l2", 4), ("l2", 1)])
+def test_dtw_peak_memory_per_cell(rng, dist, dims):
+    # the float64 cost matrix (8 B/cell), and no other array as large: the
+    # growth from 600x700 to 1200x1400 frames is the matrix alone, while the
+    # small-size bound leaves room for the per-frame temporaries
+    small = _dtw_peak(rng, 600, 700, dist, dims)
+    large = _dtw_peak(rng, 1200, 1400, dist, dims)
+    assert small / (600 * 700) <= 11.0
+    assert (large - small) / (1200 * 1400 - 600 * 700) <= 9.0
+
+
+def test_dtw_matches_loop_reference_large(rng):
     # 400 x 520 frames: the l2 distance spans several row chunks
     ref = rng.normal(0, 1, (400, 80))
     syn = rng.normal(0, 1, (520, 80))
-    _assert_matches_loop(ref, syn, "cosine", band)
-    _assert_matches_loop(ref[:, :4], syn[:, :4], "l2", band)
+    _assert_matches_loop(ref, syn, "cosine")
+    _assert_matches_loop(ref[:, :4], syn[:, :4], "l2")
 
 
 def test_dtw_errors():
@@ -478,12 +474,3 @@ def test_load_pitch_csv_rejects_bad_header(tmp_path):
     path.write_text("time,f0\n0.0,100\n")
     with pytest.raises(ValueError, match="header"):
         load_pitch_csv(path)
-
-
-def test_dtw_band_zero_equal_lengths_stays_diagonal(rng):
-    a = rng.normal(0, 1, (8, 3))
-    b = a + rng.normal(0, 0.01, (8, 3))
-    path, cost = dtw_align(a, b, "l2", band=0)
-    assert np.array_equal(path.i, path.j)
-    _, unbanded = dtw_align(a, b, "l2")
-    assert cost >= unbanded

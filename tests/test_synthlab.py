@@ -3,7 +3,7 @@ import pytest
 from scipy.ndimage import convolve1d
 
 from melcep.cepstral import mel_cepstrogram, quefrency_power
-from melcep.osmetrics import MetricConfig, ccentroid_series, hqer_series
+from melcep.osmetrics import SERIES, MetricConfig, ccentroid_series, hqer_series
 from melcep.spectral import LogMelSpectrogram
 from melcep.synthlab import (
     FILTER_STRENGTHS,
@@ -126,6 +126,14 @@ def test_suite_csv_one_row_per_kind_strength():
     # 4 moving-average widths + 4 gaussian widths + 3 shrink factors past identity
     assert len(lines) == 1 + 4 + 4 + 3
     assert lines[0].startswith("kind,strength,frames")
+
+
+def test_suite_csv_columns_follow_checked_metrics():
+    report = run_monotonicity_suite(n_spectrograms=2, n_frames=6, series_fns=dict(SERIES, hqer2=SERIES["hqer"]))
+    header = report.to_csv().splitlines()[0].split(",")
+    names = [*SERIES, "hqer2"]
+    assert header == ["kind", "strength", "frames", *(f"violations_{n}" for n in names),
+                      *(f"max_excess_{n}" for n in names)]
 
 
 def test_suite_deterministic():
