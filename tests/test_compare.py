@@ -169,13 +169,21 @@ def test_dtw_matches_loop_reference(n1, n2, dims, values, seed):
         _assert_matches_loop(a, b, dist)
 
 
+@pytest.mark.parametrize("fill", [None, 0])
 @pytest.mark.parametrize("dist", ["cosine", "l2"])
 @pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (2, 9)], ids=lambda s: "%dx%d" % s)
-def test_dtw_edge_shapes_match_loop_reference(rng, shape, dist):
+def test_dtw_edge_shapes_match_loop_reference(rng, shape, dist, fill):
     # with one frame on either side the path runs along row 0 or column 0,
-    # and n2 == 1 would make the anti-diagonal stride n2 - 1 zero
+    # and n2 == 1 would make the anti-diagonal stride n2 - 1 zero; fill=None
+    # draws normal frames, fill=0 zeroes every frame so that every cell ties
+    # (l2 distance 0, cosine distance 1) and the tie order alone picks the path
     n1, n2 = shape
-    _assert_matches_loop(rng.normal(0, 1, (n1, 3)), rng.normal(0, 1, (n2, 3)), dist)
+    a = rng.normal(0, 1, (n1, 3))
+    b = rng.normal(0, 1, (n2, 3))
+    if fill is not None:
+        a.fill(fill)
+        b.fill(fill)
+    _assert_matches_loop(a, b, dist)
 
 
 def test_dtw_rejects_nonfinite_input():
@@ -227,10 +235,18 @@ def test_dtw_peak_memory_per_cell(rng, dist, dims):
     assert (large - small) / (1200 * 1400 - 600 * 700) <= 9.0
 
 
-def test_dtw_matches_loop_reference_large(rng):
-    # 400 x 520 frames: the l2 distance spans several row chunks
+@pytest.mark.parametrize("snr_db", [None, 40])
+def test_dtw_matches_loop_reference_large(rng, snr_db):
+    # 400 x 520 frames: the l2 distance spans several row chunks.
+    # snr_db=None draws syn independently of ref; a number makes syn a
+    # random monotone warp of ref plus noise at that SNR, so the path
+    # follows the warp as it does for a synthesised copy of a recording
     ref = rng.normal(0, 1, (400, 80))
-    syn = rng.normal(0, 1, (520, 80))
+    if snr_db is None:
+        syn = rng.normal(0, 1, (520, 80))
+    else:
+        warp = np.sort(rng.integers(0, 400, 520))
+        syn = ref[warp] + rng.normal(0, 10.0 ** (-snr_db / 20), (520, 80))
     _assert_matches_loop(ref, syn, "cosine")
     _assert_matches_loop(ref[:, :4], syn[:, :4], "l2")
 
