@@ -21,7 +21,7 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from . import compare as cmp
@@ -35,8 +35,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_PARTIAL = 2
 EXIT_PROPERTY = 3
-
-MANIFEST_FIELDS = ("utterance_id", "ref_wav", "syn_wav", "f0_ref", "f0_syn", "token_count", "speaker_id")
 
 # Aggregate row labels for the compare table, in report-field order.
 AGGREGATE_MEASURES = (
@@ -89,6 +87,9 @@ class ManifestEntry:
     f0_syn: str | None = None
     token_count: int | None = None
     speaker_id: str | None = None
+
+
+MANIFEST_FIELDS = tuple(f.name for f in fields(ManifestEntry))
 
 
 @dataclass(frozen=True)
@@ -145,7 +146,7 @@ def load_run_config(path=None, qc=None, eps=None) -> RunConfig:
     sections = {"preprocess": {}, "stft": {}, "mel": {}, "metric": {}}
     if path is not None:
         try:
-            text = Path(path).read_text(encoding="utf-8")
+            text = Path(path).read_text(encoding="utf-8-sig")
         except (OSError, UnicodeDecodeError) as exc:
             raise UsageError(f"cannot read config file: {exc}") from exc
         for lineno, raw in enumerate(text.splitlines(), 1):
@@ -184,9 +185,9 @@ def load_run_config(path=None, qc=None, eps=None) -> RunConfig:
 
 def read_manifest(path) -> list[ManifestEntry]:
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.DictReader(fh)
-            fieldnames, rows = reader.fieldnames, list(reader)
+            fieldnames, rows = reader.fieldnames, [(reader.line_num, row) for row in reader]
     except OSError as exc:
         raise UsageError(f"cannot read manifest: {exc}") from exc
     except (UnicodeDecodeError, csv.Error) as exc:
@@ -199,33 +200,23 @@ def read_manifest(path) -> list[ManifestEntry]:
     if "utterance_id" not in fieldnames or "ref_wav" not in fieldnames:
         raise UsageError("manifest must have utterance_id and ref_wav columns")
     entries = []
-    for lineno, row in enumerate(rows, 2):
-        def cell(name):
-            value = (row.get(name) or "").strip()
-            return value or None
-        if cell("utterance_id") is None or cell("ref_wav") is None:
+    for lineno, row in rows:
+        # DictReader files the cells past the header under the key None
+        if any(extra.strip() for extra in row.get(None, ())):
+            raise UsageError(f"manifest line {lineno}: more cells than header columns")
+        cells = {name: (row.get(name) or "").strip() or None for name in MANIFEST_FIELDS}
+        if cells["utterance_id"] is None or cells["ref_wav"] is None:
             raise UsageError(f"manifest line {lineno}: utterance_id and ref_wav are required")
-        token = cell("token_count")
-        if token is not None:
+        if cells["token_count"] is not None:
             try:
-                token = int(token)
+                cells["token_count"] = int(cells["token_count"])
             except ValueError:
-                token = -1
-            if token < 0:
+                cells["token_count"] = -1
+            if cells["token_count"] < 0:
                 raise UsageError(f"manifest line {lineno}: token_count must be a non-negative integer")
-        if cell("f0_syn") is not None and cell("syn_wav") is None:
+        if cells["f0_syn"] is not None and cells["syn_wav"] is None:
             raise UsageError(f"manifest line {lineno}: f0_syn given without syn_wav")
-        entries.append(
-            ManifestEntry(
-                utterance_id=cell("utterance_id"),
-                ref_wav=cell("ref_wav"),
-                syn_wav=cell("syn_wav"),
-                f0_ref=cell("f0_ref"),
-                f0_syn=cell("f0_syn"),
-                token_count=token,
-                speaker_id=cell("speaker_id"),
-            )
-        )
+        entries.append(ManifestEntry(**cells))
     if not entries:
         raise UsageError("empty manifest")
     ids = [e.utterance_id for e in entries]

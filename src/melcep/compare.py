@@ -32,9 +32,6 @@ class DtwPath:
 
     pairs: np.ndarray
 
-    def __len__(self) -> int:
-        return self.pairs.shape[0]
-
     @property
     def i(self) -> np.ndarray:
         return self.pairs[:, 0]
@@ -50,8 +47,6 @@ class PitchContour:
 
     f0: np.ndarray
     voiced: np.ndarray
-    hop: int = 256
-    sample_rate: int = 22050
 
     def __post_init__(self):
         self.f0 = np.asarray(self.f0, dtype=np.float64)
@@ -352,7 +347,7 @@ def load_pitch_csv(path, hop: int = 256, sample_rate: int = 22050) -> PitchConto
     """
     times: list[float] = []
     f0: list[float] = []
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or [c.strip() for c in header[:2]] != ["time_s", "f0_hz"]:
@@ -380,4 +375,4 @@ def load_pitch_csv(path, hop: int = 256, sample_rate: int = 22050) -> PitchConto
         )
     f0_arr = np.asarray(f0)
     voiced = f0_arr > 0
-    return PitchContour(np.where(voiced, f0_arr, 0.0), voiced, hop=hop, sample_rate=sample_rate)
+    return PitchContour(np.where(voiced, f0_arr, 0.0), voiced)

@@ -16,7 +16,7 @@ Lower values of all four indicate stronger oversmoothing.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, make_dataclass
 
 import numpy as np
 
@@ -53,35 +53,6 @@ class MetricConfig:
         if not 1 <= qc <= n_quefrencies:
             raise ValueError(f"cutoff_q must be in [1, {n_quefrencies}]")
         return qc
-
-
-@dataclass
-class UtteranceMetrics:
-    """Framewise metric series over the non-degenerate frames of an utterance:
-    one array per ``SERIES`` metric, and each metric's utterance mean."""
-
-    frame_indices: np.ndarray
-    hqer: np.ndarray
-    cslope: np.ndarray
-    ccentroid: np.ndarray
-    croll95: np.ndarray
-    means: dict = field(default_factory=dict)
-
-    @property
-    def n_frames(self) -> int:
-        return self.frame_indices.size
-
-    def as_matrix(self) -> np.ndarray:
-        """Frames x metrics float matrix in METRIC_NAMES order, for curve alignment."""
-        return np.stack([getattr(self, name) for name in METRIC_NAMES], axis=1).astype(np.float64, copy=False)
-
-    def to_csv(self, path) -> None:
-        columns = [self.frame_indices] + [getattr(self, name) for name in METRIC_NAMES]
-        # integer columns (frame index, rolloff bin) are written as integers
-        row = ",".join("%d" if column.dtype.kind in "iu" else "%.6g" for column in columns) + "\n"
-        values = itertools.chain.from_iterable(zip(*(column.tolist() for column in columns)))
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(",".join(("frame_index",) + METRIC_NAMES) + "\n" + row * self.n_frames % tuple(values))
 
 
 def hqer_series(p, cfg: MetricConfig | None = None) -> np.ndarray:
@@ -172,6 +143,35 @@ METRIC_LABELS = {
     "ccentroid": ("CCentroid", "bin", 1.0),
     "croll95": ("CRoll95", "bin", 1.0),
 }
+
+
+def _n_frames(self) -> int:
+    return self.frame_indices.size
+
+
+def _as_matrix(self) -> np.ndarray:
+    """Frames x metrics float matrix in METRIC_NAMES order, for curve alignment."""
+    return np.stack([getattr(self, name) for name in METRIC_NAMES], axis=1).astype(np.float64, copy=False)
+
+
+def _to_csv(self, path) -> None:
+    columns = [self.frame_indices] + [getattr(self, name) for name in METRIC_NAMES]
+    # integer columns (frame index, rolloff bin) are written as integers
+    row = ",".join("%d" if column.dtype.kind in "iu" else "%.6g" for column in columns) + "\n"
+    values = itertools.chain.from_iterable(zip(*(column.tolist() for column in columns)))
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(("frame_index",) + METRIC_NAMES) + "\n" + row * self.n_frames % tuple(values))
+
+
+# ``__module__`` names this module, as a class statement would, so that metrics pickle.
+UtteranceMetrics = make_dataclass(
+    "UtteranceMetrics",
+    [("frame_indices", np.ndarray), *((name, np.ndarray) for name in METRIC_NAMES),
+     ("means", dict, field(default_factory=dict))],
+    namespace={"__module__": __name__, "n_frames": property(_n_frames), "as_matrix": _as_matrix, "to_csv": _to_csv,
+               "__doc__": "Framewise metric series over the non-degenerate frames of an utterance: "
+                          "one array per ``SERIES`` metric, and each metric's utterance mean."},
+)
 
 
 def usable_frames(qp: QuefrencyPower) -> np.ndarray:

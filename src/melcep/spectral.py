@@ -48,9 +48,6 @@ class StftConfig:
     def pad(self) -> int:
         return (self.n_fft - self.hop) // 2
 
-    def n_frames(self, n_samples: int) -> int:
-        return (n_samples + 2 * self.pad - self.n_fft) // self.hop + 1
-
 
 @dataclass(frozen=True)
 class MelConfig:
@@ -70,11 +67,9 @@ class MelConfig:
 
 @dataclass
 class LogMelSpectrogram:
-    """Natural-log mel amplitudes, bands x frames, with frame timing metadata."""
+    """Natural-log mel amplitudes, bands x frames."""
 
     values: np.ndarray
-    hop: int = 256
-    sample_rate: int = 22050
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
@@ -89,18 +84,13 @@ class LogMelSpectrogram:
     def n_frames(self) -> int:
         return self.values.shape[1]
 
-    @property
-    def duration_s(self) -> float:
-        return self.n_frames * self.hop / self.sample_rate
-
 
 def hz_to_mel(f):
     """Slaney mel scale: mel = 3f/200 below 1 kHz, 15 + 27*ln(f/1000)/ln(6.4) above."""
     f = np.asarray(f, dtype=np.float64)
     mel = 3.0 * f / 200.0
     above = f >= _MEL_BREAK_HZ
-    if np.any(above):
-        mel = np.where(above, _MEL_BREAK + np.log(np.maximum(f, _MEL_BREAK_HZ) / _MEL_BREAK_HZ) / _MEL_LOG_STEP, mel)
+    mel = np.where(above, _MEL_BREAK + np.log(np.maximum(f, _MEL_BREAK_HZ) / _MEL_BREAK_HZ) / _MEL_LOG_STEP, mel)
     return mel if mel.ndim else float(mel)
 
 
@@ -108,8 +98,7 @@ def mel_to_hz(m):
     m = np.asarray(m, dtype=np.float64)
     f = 200.0 * m / 3.0
     above = m >= _MEL_BREAK
-    if np.any(above):
-        f = np.where(above, _MEL_BREAK_HZ * np.exp(_MEL_LOG_STEP * (m - _MEL_BREAK)), f)
+    f = np.where(above, _MEL_BREAK_HZ * np.exp(_MEL_LOG_STEP * (m - _MEL_BREAK)), f)
     return f if f.ndim else float(f)
 
 
@@ -227,7 +216,7 @@ def log_mel(
     fb = _cached_filterbank(mel_cfg, w.sample_rate, stft_cfg.n_fft)
     values = fb @ mag.T
     np.log(np.maximum(values, mel_cfg.clamp_floor, out=values), out=values)
-    return LogMelSpectrogram(values, hop=stft_cfg.hop, sample_rate=w.sample_rate)
+    return LogMelSpectrogram(values)
 
 
 def write_blob(s: LogMelSpectrogram, path) -> None:
@@ -242,7 +231,7 @@ def write_blob(s: LogMelSpectrogram, path) -> None:
         fh.write(np.ascontiguousarray(s.values, dtype="<f4").tobytes())
 
 
-def read_blob(path, hop: int = 256, sample_rate: int = 22050) -> LogMelSpectrogram:
+def read_blob(path) -> LogMelSpectrogram:
     with open(path, "rb") as fh:
         header = fh.read(16)
         if len(header) != 16 or header[:4] != BLOB_MAGIC:
@@ -251,4 +240,4 @@ def read_blob(path, hop: int = 256, sample_rate: int = 22050) -> LogMelSpectrogr
         data = np.frombuffer(fh.read(), dtype="<f4")
     if data.size != n_bands * n_frames:
         raise ValueError(f"truncated log-mel blob: {path!s}")
-    return LogMelSpectrogram(data.reshape(n_bands, n_frames), hop=hop, sample_rate=sample_rate)
+    return LogMelSpectrogram(data.reshape(n_bands, n_frames))

@@ -161,7 +161,8 @@ def mann_whitney_u(x, y) -> tuple[float, float]:
     p-value comes from exact enumeration of the null U distribution when the
     combined sample has at most 12 untied values, and otherwise from the
     tie-corrected normal approximation with continuity correction.  When all
-    values are identical the p-value is 1 by convention.
+    values are identical the p-value is 1 by convention.  NaN has no rank and
+    raises ``ValueError``; infinities rank as usual.
 
     Returns
     -------
@@ -172,10 +173,11 @@ def mann_whitney_u(x, y) -> tuple[float, float]:
     n1, n2 = x.size, y.size
     if n1 < 1 or n2 < 1:
         raise ValueError("both samples must be non-empty")
+    if np.isnan(x).any() or np.isnan(y).any():
+        raise ValueError("NaN in a sample: the test is undefined")
     u, ranked = _u_statistic(x, y)
-    # ties as np.unique counts them (all NaNs one value), without its numpy.ma import
     ordered = np.sort(np.concatenate([x, y]))
-    has_ties = bool((ordered[1:] == ordered[:-1]).any() or np.isnan(ordered[-2:]).all())
+    has_ties = bool((ordered[1:] == ordered[:-1]).any())
     if not has_ties and n1 + n2 <= EXACT_MAX_N:
         return float(u), exact_p(u, n1, n2)
     return float(u), normal_p(u, n1, n2, ranked)

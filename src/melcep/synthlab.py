@@ -107,7 +107,7 @@ def degrade(s: LogMelSpectrogram, spec: DegradationSpec) -> LogMelSpectrogram:
             out = padded[half : half + n] * kernel[half]
             for j in range(half, 0, -1):
                 out += (padded[half - j : half - j + n] + padded[half + j : half + j + n]) * kernel[half + j]
-    return LogMelSpectrogram(out, hop=s.hop, sample_rate=s.sample_rate)
+    return LogMelSpectrogram(out)
 
 
 def synth_harmonic_spectrogram(
@@ -116,8 +116,6 @@ def synth_harmonic_spectrogram(
     amplitude: float,
     n_mels: int = 80,
     base_level: float = -6.0,
-    hop: int = 256,
-    sample_rate: int = 22050,
 ) -> LogMelSpectrogram:
     """Frames of sinusoidal ripple across mel bins.
 
@@ -131,7 +129,7 @@ def synth_harmonic_spectrogram(
     b = np.arange(n_mels)[:, None]
     m = np.arange(n_frames)[None, :]
     values = base_level + amplitude * np.cos(2.0 * np.pi * b / period_bins + 0.7 * m)
-    return LogMelSpectrogram(np.maximum(values, _LOG_FLOOR), hop=hop, sample_rate=sample_rate)
+    return LogMelSpectrogram(np.maximum(values, _LOG_FLOOR))
 
 
 def noise_spectrogram(rng: np.random.Generator, n_frames: int = 30, n_mels: int = 80) -> LogMelSpectrogram:

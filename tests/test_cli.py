@@ -2,6 +2,7 @@ import csv
 import json
 import multiprocessing
 import os
+import shutil
 import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -132,6 +133,25 @@ def test_unknown_manifest_column_exit_1(tmp_path, capsys):
     manifest.write_text("utterance_id,ref_wav,surprise\nu,a.wav,x\n")
     assert main(["features", "--manifest", str(manifest), "--out", str(tmp_path / "o")]) == 1
     assert "surprise" in capsys.readouterr().err
+
+
+def test_manifest_row_wider_than_header_exit_1(tmp_path, monkeypatch, capsys):
+    """An unquoted comma in a path made a row one cell wider than the header,
+    and the cell past the header was dropped: ``ref_wav`` read ``/tmp/a``."""
+    loaded = []
+    monkeypatch.setattr(cli, "load_wav", loaded.append)
+    manifest = tmp_path / "wide.csv"
+    manifest.write_text("utterance_id,ref_wav\nu0,a.wav\n\nu1,/tmp/a,b.wav\n")
+    assert main(["features", "--manifest", str(manifest), "--out", str(tmp_path / "o")]) == 1
+    # the file's line, counting the blank one that the csv module skips
+    assert "manifest line 4: more cells than header columns" in capsys.readouterr().err
+    assert loaded == [] and not (tmp_path / "o").exists()
+
+
+def test_manifest_empty_trailing_cells_accepted(tmp_path):
+    manifest = tmp_path / "m.csv"
+    manifest.write_text("utterance_id,ref_wav\nu1,a.wav,,\nu2,b.wav, \n")
+    assert [(e.utterance_id, e.ref_wav) for e in read_manifest(manifest)] == [("u1", "a.wav"), ("u2", "b.wav")]
 
 
 def test_missing_manifest_exit_1(tmp_path, capsys):
@@ -534,6 +554,20 @@ def test_undecodable_or_oversized_input_is_usage_error(tmp_path, parse, data):
         parse(path)
 
 
+# Excel's "CSV UTF-8" and Notepad start a file with a byte-order mark, which
+# utf-8 decoding kept as part of the first column name or key.
+def test_read_manifest_accepts_utf8_bom(tmp_path):
+    manifest = tmp_path / "m.csv"
+    manifest.write_bytes(b"\xef\xbb\xbfutterance_id,ref_wav\nu1,a.wav\n")
+    assert [(e.utterance_id, e.ref_wav) for e in read_manifest(manifest)] == [("u1", "a.wav")]
+
+
+def test_load_run_config_accepts_utf8_bom(tmp_path):
+    config = tmp_path / "cfg.txt"
+    config.write_bytes(b"\xef\xbb\xbftarget_rate = 16000\n")
+    assert load_run_config(config).preprocess.target_rate == 16000
+
+
 @pytest.fixture(scope="module")
 def fuzz_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
@@ -610,6 +644,41 @@ def test_subcommands_agree_on_shared_measures(tmp_path):
         assert delta != 0.0
         # each printed value carries at most half a unit in its 6th significant digit
         assert abs(delta - (mean_b - mean_a)) <= 5e-6 * (abs(delta) + abs(mean_a) + abs(mean_b))
+
+
+def test_metric_added_to_series_reaches_every_output(corpus, tmp_path):
+    """One entry in ``SERIES`` and one in ``METRIC_LABELS`` add a metric to
+    every output; ``UtteranceMetrics`` once typed the four metric fields by
+    hand, so an added metric failed every entry with a TypeError."""
+    src = tmp_path / "src"
+    shutil.copytree(Path(cli.__file__).parent, src / "melcep", ignore=shutil.ignore_patterns("__pycache__"))
+    osmetrics = src / "melcep" / "osmetrics.py"
+    text = osmetrics.read_text(encoding="utf-8")
+    for anchor, entry in (('    "croll95": croll95_series,\n', '    "extra": ccentroid_series,\n'),
+                          ('    "croll95": ("CRoll95", "bin", 1.0),\n', '    "extra": ("Extra", "bin", 1.0),\n')):
+        assert text.count(anchor) == 1
+        text = text.replace(anchor, anchor + entry)
+    osmetrics.write_text(text, encoding="utf-8")
+    _, _, rows = corpus
+    manifest = tmp_path / "two.csv"
+    _write_manifest(manifest, rows[:2])
+    out = tmp_path / "out"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    for argv in (["features", "--manifest", str(manifest), "--out", str(out / "feat")],
+                 ["compare", "--manifest", str(manifest), "--out", str(out / "cmp")],
+                 ["corpus-stats", "--manifest-a", str(manifest), "--manifest-b", str(manifest),
+                  "--out", str(out / "stats.csv")]):
+        proc = subprocess.run([sys.executable, "-m", "melcep.cli", *argv], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+    uid = rows[0]["utterance_id"]
+    header = (out / "feat" / f"{uid}.metrics.csv").read_text().splitlines()[0]
+    assert header == "frame_index,hqer,cslope,ccentroid,croll95,extra"
+    report = json.loads((out / "cmp" / f"{uid}.report.json").read_text())
+    assert report["mae_extra"] == 0.0 and report["delta_extra"] == 0.0
+    aggregate = [line.split(",")[0] for line in (out / "cmp" / "aggregate.csv").read_text().splitlines()]
+    assert aggregate[-1] == "MAE(Extra)/bin"
+    assert [line.split(",")[0] for line in (out / "stats.csv").read_text().splitlines()][-1] == "extra"
 
 
 def test_runtime_imports_no_scipy():

@@ -457,6 +457,14 @@ def test_load_pitch_csv(tmp_path):
     assert np.all(c.f0[~c.voiced] == 0.0)
 
 
+def test_load_pitch_csv_accepts_utf8_bom(tmp_path):
+    """Excel's "CSV UTF-8" and Notepad start the file with a byte-order mark."""
+    path = tmp_path / "f0.csv"
+    path.write_bytes(b"\xef\xbb\xbftime_s,f0_hz\n0.0,100\n0.01160998,\n")
+    c = load_pitch_csv(path)
+    assert np.array_equal(c.f0, [100.0, 0.0]) and np.array_equal(c.voiced, [True, False])
+
+
 def test_load_pitch_csv_rejects_nonuniform_times(tmp_path):
     path = tmp_path / "f0.csv"
     path.write_text("time_s,f0_hz\n0.0,100\n0.0116,101\n0.5,102\n")

@@ -108,6 +108,19 @@ def test_empty_sample_rejected():
         mann_whitney_u([], [1.0])
 
 
+@pytest.mark.parametrize("x, y", [([math.nan, 1.0, 2.0], [3.0, 4.0, 5.0]), ([1.0], [math.nan, math.nan]),
+                                  (np.arange(13.0), np.append(np.arange(12.0), math.nan))])
+def test_nan_sample_rejected(x, y):
+    """A NaN has no rank: the test is undefined, not significant (it gave p = 0)."""
+    with pytest.raises(ValueError, match="NaN"):
+        mann_whitney_u(x, y)
+
+
+def test_infinities_rank_at_the_ends():
+    u, p = mann_whitney_u([-math.inf, 1.0, 2.0], [3.0, 4.0, math.inf])
+    assert (u, p) == mann_whitney_u([0.0, 1.0, 2.0], [3.0, 4.0, 5.0])
+
+
 def test_exact_branch_bounds():
     assert EXACT_MAX_N == 12
     # ties force the normal branch even for tiny samples
