@@ -30,11 +30,8 @@ _DB_FLOOR = 1e-12
 _HP_BLOCK = 64
 _HP_SPAN = 1 << 15
 
-# Names of common format tags in "unknown format" errors; others print in hex.
-_WAV_FORMATS = {0: "UNKNOWN", 2: "ADPCM", 6: "ALAW", 7: "MULAW", 0x11: "DVI_ADPCM", 0x31: "GSM610",
-                0x50: "MPEG", 0x55: "MPEGLAYER3", 0xFFFE: "EXTENSIBLE"}
-_WAV_GUID_TAIL = {"<": b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71",
-                  ">": b"\x00\x00\x00\x10\x80\x00\x00\xaa\x00\x38\x9b\x71"}
+# Last 12 bytes of the KSDATAFORMAT_SUBTYPE GUIDs whose first 4 bytes are a format tag.
+_WAV_GUID_TAIL = b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
 
 
 class SilentSignalError(ValueError):
@@ -90,121 +87,80 @@ class PreprocessConfig:
 
 
 def _read_wav(path) -> tuple[int, np.ndarray]:
-    """(rate, samples) of a RIFF or RIFX file, walked chunk by chunk as
-    ``scipy.io.wavfile.read`` walks it, with its error messages.
-
-    A truncated data chunk gives the samples present; odd-sized chunks are
-    followed by a pad byte.  Only little-endian PCM16 and float32 samples are
-    decoded: for any other encoding zeros of the dtype and shape scipy would
-    return stand in, so that ``load_wav`` names the dtype when it rejects it.
-    """
+    """(rate, int16 or float32 samples, 2-D if multichannel) under ``load_wav``'s contract."""
     with open(path, "rb") as fh:
-        sig = fh.read(4)
-        if sig == b"RF64":
-            raise ValueError("RF64 WAV files are not supported")
-        if sig not in (b"RIFF", b"RIFX"):
-            raise ValueError(f"File format {sig!r} not understood. Only 'RIFF', 'RIFX', and 'RF64' supported.")
-        e = "<" if sig == b"RIFF" else ">"
-        file_size = struct.unpack(e + "I", fh.read(4))[0] + 8
-        form = fh.read(4)
-        if form != b"WAVE":
-            raise ValueError(f"Not a WAV file. RIFF form type is {form!r}.")
-        rate = data = None
-        while fh.tell() < file_size:
-            chunk = fh.read(4)
-            if not chunk and data is None:
-                raise ValueError("Unexpected end of file.")
-            if not chunk:
-                break
-            if len(chunk) < 4 and (rate is None or data is None):
-                raise ValueError(f"Incomplete chunk ID: {chunk!r}")
-            if chunk == b"fmt ":
-                size = struct.unpack(e + "I", fh.read(4))[0]
-                if size < 16:
-                    raise ValueError("Binary structure of wave file is not compliant")
-                tag, channels, rate, byte_rate, block_align, bits = struct.unpack(e + "HHIIHH", fh.read(16))
-                used = 16
-                if tag == 0xFFFE and size >= 18:
-                    if struct.unpack(e + "H", fh.read(2))[0] < 22:
-                        raise ValueError("Binary structure of wave file is not compliant")
-                    guid, used = fh.read(22)[6:], used + 24
-                    if guid.endswith(_WAV_GUID_TAIL[e]):
-                        tag = struct.unpack(e + "I", guid[:4])[0]
-                if tag not in (1, 3):
-                    name = _WAV_FORMATS.get(tag, f"{tag:#06x}")
-                    raise ValueError(f"Unknown wave file format: {name}. Supported formats: PCM, IEEE_FLOAT")
-                fh.read(max(0, size - used))
-                fh.seek(size % 2, 1)
-                if tag == 1 and byte_rate != rate * block_align:
-                    raise ValueError(
-                        "WAV header is invalid: nAvgBytesPerSec must equal product of nSamplesPerSec and "
-                        f"nBlockAlign, but file has nSamplesPerSec = {rate}, nBlockAlign = {block_align}, "
-                        f"and nAvgBytesPerSec = {byte_rate}"
-                    )
-            elif chunk == b"data":
-                if rate is None:
-                    raise ValueError("No fmt chunk before data")
-                size = struct.unpack(e + "I", fh.read(4))[0]
-                width = block_align // channels
-                count = size // width
-                if tag == 1 and 1 <= bits <= 8:
-                    dtype = np.dtype("u1")
-                elif tag == 1 and width in (3, 5, 6, 7):  # scipy widens these to int32/int64
-                    dtype = np.dtype(f"{e}i4" if width == 3 else f"{e}i8")
-                elif tag == 1 and bits <= 64:
-                    dtype = np.dtype(f"{e}i{width}")
-                elif tag == 1 or bits not in (32, 64):
-                    kind = "integer" if tag == 1 else "floating-point"
-                    raise ValueError(f"Unsupported bit depth: the WAV file has {bits}-bit {kind} data.")
-                else:
-                    dtype = np.dtype(f"{e}f{width}")
-                packed = dtype.kind == "i" and width in (3, 5, 6, 7)
-                raw = fh.read(size if packed else count * dtype.itemsize)
-                if packed:  # scipy splits these into samples first, failing on a partial one
-                    np.frombuffer(raw, "u1").reshape(-1, width)
-                items = len(raw) // (width if packed else dtype.itemsize)
-                data = np.frombuffer(raw, dtype, items) if dtype.str in ("<i2", "<f4") else np.zeros(items, dtype)
-                fh.seek(size % 2, 1)
-                if channels > 1:
-                    data = data.reshape(-1, channels)
-            else:  # skipped chunk: an id, a size, the data and a pad byte
-                size = fh.read(4)
-                if size:
-                    size = struct.unpack(e + "I", size)[0]
-                    fh.seek(size + size % 2, 1)
+        buf = fh.read()
+    if len(buf) < 12 or buf[:4] != b"RIFF" or buf[8:12] != b"WAVE":
+        raise ValueError(f"not a little-endian RIFF WAVE file: it starts {buf[:12]!r}")
+    riff_end = struct.unpack_from("<I", buf, 4)[0] + 8
+    pos, rate, data = 12, None, None
+    while pos < riff_end and pos + 8 <= len(buf):
+        cid, size = buf[pos:pos + 4], struct.unpack_from("<I", buf, pos + 4)[0]
+        start, stop = pos + 8, min(pos + 8 + size, len(buf))
+        if cid == b"fmt ":
+            if stop - start < 16:
+                raise ValueError(f"fmt chunk of {stop - start} bytes; it needs 16")
+            tag, channels, rate, byte_rate, block_align, bits = struct.unpack_from("<HHIIHH", buf, start)
+            if (tag == 0xFFFE and stop - start >= 40 and struct.unpack_from("<H", buf, start + 16)[0] >= 22
+                    and buf[start + 28:start + 40] == _WAV_GUID_TAIL):
+                tag = struct.unpack_from("<I", buf, start + 24)[0]
+            unsupported = (f"unsupported encoding: format tag {tag:#x}, {bits} bits, {channels} channel(s), "
+                           f"{block_align}-byte blocks; expected PCM16 or float32")
+            if tag not in (1, 3):
+                raise ValueError(unsupported)
+            if tag == 1 and byte_rate != rate * block_align:
+                raise ValueError(f"byte rate {byte_rate} is not sample rate {rate} x block size {block_align}")
+        elif cid == b"data":
+            if rate is None:
+                raise ValueError("data chunk before the fmt chunk")
+            width = 2 if tag == 1 else 4
+            if channels < 1 or block_align != channels * width or not (9 <= bits <= 16 if tag == 1 else bits == 32):
+                raise ValueError(unsupported)
+            count = (stop - start) // width
+            if count % channels:
+                raise ValueError(f"data chunk ends inside a {channels}-channel frame")
+            data = np.frombuffer(buf, "<i2" if tag == 1 else "<f4", count, start)
+            if channels > 1:
+                data = data.reshape(-1, channels)
+        pos = start + size + size % 2
     if data is None:
         raise ValueError("no data chunk")
+    if rate == 0:
+        raise ValueError("sample rate 0")
     return rate, data
 
 
 def load_wav(path) -> Waveform:
-    """Read a RIFF WAV file (PCM16 or IEEE float32) as a mono Waveform.
+    """Read a WAV file as a mono Waveform: channels are averaged, PCM16 is
+    scaled to [-1, 1] and the sample rate is passed through unchanged
+    (resampling is the preprocessing stage's job).
 
-    Multichannel input is averaged down to mono; integer samples are scaled
-    to [-1, 1].  The sample rate is passed through unchanged; resampling is
-    the preprocessing stage's job.
+    The file is ``RIFF``...``WAVE``, not RIFX or RF64.  Its ``fmt `` chunk has
+    16 bytes or more (``WAVE_FORMAT_EXTENSIBLE`` with cbSize >= 22 and the
+    standard GUID tail takes its subformat tag), comes before the ``data``
+    chunk and gives PCM (tag 1) with 2-byte samples and 9-16 bits, read as
+    int16, or IEEE float (tag 3) with 4-byte samples and 32 bits, read as
+    float32; block size = channels x sample bytes, channels >= 1, sample
+    rate > 0 and, for PCM, byte rate = sample rate x block size.  Chunks are
+    walked up to the smaller of the RIFF size + 8 and the file size: odd
+    sizes are padded, unknown chunks skipped and a chunk header cut short at
+    the end ignored.  A data chunk cut short gives the whole frames present;
+    one that ends inside a multichannel frame fails.  A breach raises
+    ``ValueError("unreadable WAV file <path>: <cause>")``; empty or
+    non-finite audio raises ValueError too.
     """
     try:
         rate, data = _read_wav(path)
-    except FileNotFoundError:
-        raise
-    except (ValueError, EOFError) as exc:
+    except ValueError as exc:
         raise ValueError(f"unreadable WAV file {path!s}: {exc}") from exc
-    if data.dtype == np.int16:
-        x = data.astype(np.float64) / 32768.0
-    elif data.dtype == np.float32:
-        x = data.astype(np.float64)
-    else:
-        raise ValueError(
-            f"unsupported WAV encoding {data.dtype} in {path!s}; expected PCM16 or float32"
-        )
+    if data.size == 0:
+        raise ValueError(f"zero-length audio in {path!s}")
+    if not np.isfinite(data).all():  # checked before the cast, which warns on a signaling NaN
+        raise ValueError(f"non-finite samples in {path!s}")
+    x = data / 32768.0 if data.dtype == np.int16 else data.astype(np.float64)
     if x.ndim == 2:
         x = x.mean(axis=1)
-    if x.size == 0:
-        raise ValueError(f"zero-length audio in {path!s}")
-    if not np.isfinite(x).all():
-        raise ValueError(f"non-finite samples in {path!s}")
-    return Waveform(x, int(rate))
+    return Waveform(x, rate)
 
 
 def rms_dbfs(x: np.ndarray) -> float:

@@ -197,6 +197,8 @@ def read_manifest(path) -> list[ManifestEntry]:
     unknown = set(fieldnames) - set(MANIFEST_FIELDS)
     if unknown:
         raise UsageError(f"unknown manifest columns: {sorted(unknown)}")
+    if repeated := [name for name in MANIFEST_FIELDS if fieldnames.count(name) > 1]:
+        raise UsageError(f"manifest columns named more than once: {repeated}")
     if "utterance_id" not in fieldnames or "ref_wav" not in fieldnames:
         raise UsageError("manifest must have utterance_id and ref_wav columns")
     entries = []

@@ -1,4 +1,5 @@
 import math
+import re
 import struct
 import tracemalloc
 import warnings
@@ -248,12 +249,14 @@ def _outcome(load, path):
 
 
 def _assert_reads_like_scipy(path):
+    """Same rate and samples, bit for bit, where scipy reads the file, and a
+    ValueError where scipy raises anything; the messages may differ."""
     ours, ref = _outcome(load_wav, path), _outcome(_scipy_load_wav, path)
     if isinstance(ref[1], np.ndarray):
         assert ours[0] == ref[0] and isinstance(ours[1], np.ndarray)
-        assert np.array_equal(ours[1], ref[1])
+        assert ours[1].tobytes() == ref[1].tobytes()
     else:
-        assert ours == ref
+        assert ours[0] is ValueError, ours
 
 
 _GUID_TAIL = b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
@@ -263,8 +266,9 @@ def _chunk(cid: bytes, payload: bytes) -> bytes:
     return cid + struct.pack("<I", len(payload)) + payload + b"\0" * (len(payload) % 2)
 
 
-def _fmt(tag: int, channels: int, rate: int, bits: int, guid_tag: int | None = None, extra: bytes = b"") -> bytes:
-    block = channels * -(-bits // 8)
+def _fmt(tag: int, channels: int, rate: int, bits: int, guid_tag: int | None = None, extra: bytes = b"",
+         width: int | None = None) -> bytes:
+    block = channels * (width or -(-bits // 8))
     body = struct.pack("<HHIIHH", tag, channels, rate, rate * block, block, bits)
     if guid_tag is not None:  # WAVE_FORMAT_EXTENSIBLE: cbSize, valid bits, channel mask, GUID
         body += struct.pack("<HHII", 22, bits, 3, guid_tag) + _GUID_TAIL
@@ -339,6 +343,10 @@ _REJECTED_WAVS = {
     "avi": b"RIFF" + struct.pack("<I", 4) + b"AVI ",
     "riff_only": b"RIFF",
     "noise": np.random.default_rng(3).integers(0, 256, 200).astype("u1").tobytes(),
+    "no_data": _riff(_fmt(1, 1, 16000, 16)),  # scipy raised UnboundLocalError
+    "tag_0x1234": _riff(_fmt(0x1234, 1, 8000, 8), _chunk(b"data", bytes(4))),
+    "zero_channels": _riff(_fmt(1, 0, 16000, 16), _chunk(b"data", bytes(8))),  # scipy: ZeroDivisionError
+    "zero_rate": _riff(_fmt(1, 1, 0, 16), _chunk(b"data", bytes(8))),
 }
 
 
@@ -351,29 +359,116 @@ def test_wav_reader_rejects_like_scipy(tmp_path, name):
     _assert_reads_like_scipy(path)
 
 
+# odd_chunks cut 5-7 bytes into the header of the chunk after its data chunk
+_CUT_IN_TRAILING_HEADER = [_VALID_WAVS["odd_chunks"].rindex(b"bext") + k for k in (5, 6, 7)]
+
+
 @pytest.mark.parametrize("name", ["pcm16_stereo", "extensible_float32", "odd_chunks"])
 def test_wav_reader_truncated_like_scipy(tmp_path, name):
     full = _VALID_WAVS[name]
     path = tmp_path / "cut.wav"
     for size in range(len(full)):
+        if name == "odd_chunks" and size in _CUT_IN_TRAILING_HEADER:
+            continue  # a declared difference: test_wav_reader_known_differences
         path.write_bytes(full[:size])
         _assert_reads_like_scipy(path)
 
 
+def _rf64(fmt: bytes, samples: bytes) -> bytes:
+    """An RF64 file: its RIFF and data sizes are 64-bit, in a ds64 chunk."""
+    size = 4 + 36 + len(fmt) + 8 + len(samples)
+    body = b"WAVE" + _chunk(b"ds64", struct.pack("<QQQI", size, len(samples), 0, 0)) + fmt
+    return b"RF64" + struct.pack("<I", 0xFFFFFFFF) + body + b"data" + struct.pack("<I", 0xFFFFFFFF) + samples
+
+
 def test_wav_reader_known_differences(tmp_path):
-    """Files scipy read differently on purpose: a header with no data chunk
-    (scipy crashed with UnboundLocalError), RF64 (not read), and format tags
-    outside the common set (named by scipy, printed in hex here)."""
-    cases = {
-        "no_data": (_riff(_fmt(1, 1, 16000, 16)), "no data chunk"),
-        "rf64": (b"RF64" + bytes(40), "RF64 WAV files are not supported"),
-        "tag_0x1234": (_riff(_fmt(0x1234, 1, 8000, 8), _chunk(b"data", bytes(4))), "Unknown wave file format: 0x1234."),
+    """The declared differences from scipy.io.wavfile.read, which reads the
+    first group and fails on the second with struct.error."""
+    data = _chunk(b"data", _pcm16(6, 1))
+    extensible = _fmt(0xFFFE, 1, 8000, 32, guid_tag=3)
+    read_by_scipy_only = {  # header fields that contradict each other, then RF64
+        "pcm_0_bits": (_riff(_fmt(1, 1, 16000, 0, width=2), data), "0 bits"),
+        "pcm_24_bits_in_2_bytes": (_riff(_fmt(1, 1, 16000, 24, width=2), data), "24 bits"),
+        "float_64_bits_in_4_bytes": (_riff(_fmt(3, 1, 16000, 64, width=4), data), "64 bits"),
+        "stereo_5_byte_blocks": (
+            _riff(_chunk(b"fmt ", struct.pack("<HHIIHH", 1, 2, 16000, 80000, 5, 16)), data), "5-byte blocks"
+        ),
+        "extensible_fmt_sized_18": (_riff(extensible[:4] + struct.pack("<I", 18) + extensible[8:], data), "tag 0xfffe"),
+        "rf64": (_rf64(_fmt(1, 1, 16000, 16), _pcm16(6, 1)), "b'RF64"),
     }
-    for name, (payload, message) in cases.items():
+    for name, (payload, message) in read_by_scipy_only.items():
         path = tmp_path / f"{name}.wav"
         path.write_bytes(payload)
-        with pytest.raises(ValueError, match=f"unreadable WAV file .*{message}"):
+        assert isinstance(_outcome(_scipy_load_wav, path)[1], np.ndarray), name
+        with pytest.raises(ValueError, match=f"^unreadable WAV file .*{message}"):
             load_wav(path)
+    # a file cut inside a chunk header after the data chunk keeps its data
+    odd_chunks, odd_data = _VALID_WAVS["odd_chunks"], _VALID_WAVS["odd_data_size"]
+    read_by_ours_only = [(odd_chunks[:size], odd_chunks) for size in _CUT_IN_TRAILING_HEADER]
+    # after an odd-sized data chunk scipy resumed the walk one byte early, at the pad byte
+    read_by_ours_only.append((_riff(_fmt(1, 1, 16000, 16), _chunk(b"data", _pcm16(9, 1) + b"\x01"), b"LIST"), odd_data))
+    for payload, reference in read_by_ours_only:
+        (tmp_path / "cut.wav").write_bytes(payload)
+        (tmp_path / "ref.wav").write_bytes(reference)
+        assert _outcome(_scipy_load_wav, tmp_path / "cut.wav")[0] is struct.error
+        ours, ref = _outcome(load_wav, tmp_path / "cut.wav"), _outcome(_scipy_load_wav, tmp_path / "ref.wav")
+        assert ours[0] == ref[0] and ours[1].tobytes() == ref[1].tobytes()
+    # the messages name the cause
+    for name, message in [
+        ("pcm24", "format tag 0x1, 24 bits, 2 channel(s), 6-byte blocks"), ("rifx_pcm16", "it starts b'RIFX"),
+        ("stereo_odd_samples", "inside a 2-channel frame"), ("zero_rate", "sample rate 0"),
+    ]:
+        path = tmp_path / f"{name}.wav"
+        path.write_bytes(_REJECTED_WAVS[name])
+        with pytest.raises(ValueError, match=re.escape(f"unreadable WAV file {path}: ") + ".*" + re.escape(message)):
+            load_wav(path)
+
+
+# (format tag, bits): the accepted encodings, weighted to make many files readable, and rejected ones
+_FUZZ_ENCODINGS = 3 * [(1, 16), (1, 12), (3, 32), (0xFFFE, 16), (0xFFFE, 32)] + [(1, 0), (1, 24), (3, 64), (6, 8)]
+
+
+def _fuzzed_wav(rng: np.random.Generator) -> bytes:
+    """A WAV file with random fmt fields, data and truncation; most fields hold a valid value."""
+    random_fields = rng.integers(0, 1 << 16, 2)
+    tag, bits = _FUZZ_ENCODINGS[rng.integers(len(_FUZZ_ENCODINGS))] if rng.random() < 0.8 else random_fields
+    channels, rate = int(rng.choice([1, 1, 2, 2, 3, 0])), int(rng.choice([16000, 22050, 44100, 0]))
+    block = channels * -(-bits // 8) if rng.random() < 0.8 else int(rng.integers(0, 17))
+    byte_rate = rate * block if rng.random() < 0.9 else int(rng.integers(0, 1 << 32))
+    fmt = struct.pack("<HHIIHH", tag, channels, rate, byte_rate, block, bits)
+    if tag == 0xFFFE:  # cbSize, valid bits, channel mask, subformat GUID
+        subtag = {16: 1, 32: 3}.get(bits, 6) if rng.random() < 0.8 else int(rng.integers(0, 1 << 32))
+        fmt += struct.pack("<HHII", rng.choice([22, 22, 21, 0]), bits, 3, subtag) + _GUID_TAIL
+    trailer = [b"", _chunk(b"LIST", b"INFOabc"), _chunk(b"data", b"\0\0")][rng.integers(3)]
+    wav = _riff(_chunk(b"fmt ", fmt), _chunk(b"data", rng.bytes(rng.integers(0, 65))), trailer)
+    return wav[: rng.integers(len(wav) + 1)] if rng.random() < 0.3 else wav
+
+
+def test_load_wav_raises_only_value_error(tmp_path):
+    """Whatever the fmt fields, data and truncation: a finite Waveform or a
+    ValueError, never ZeroDivisionError (0 channels), TypeError or struct.error."""
+    rng = np.random.default_rng(2024)
+    path = tmp_path / "fuzz.wav"
+    read = 0
+    for _ in range(3000):
+        wav = _fuzzed_wav(rng)
+        path.write_bytes(wav)
+        try:
+            w = load_wav(path)
+        except ValueError:
+            continue
+        assert w.samples.size > 0 and np.isfinite(w.samples).all(), wav
+        read += 1
+    assert read > 200
+
+
+def test_load_signaling_nan_is_rejected_without_a_warning(tmp_path):
+    """Casting a float32 signaling NaN to float64 warns ("invalid value
+    encountered in cast"), which the test settings turn into an error."""
+    path = tmp_path / "snan.wav"
+    path.write_bytes(_riff(_fmt(3, 1, 16000, 32), _chunk(b"data", bytes.fromhex("0000803f0100807f"))))
+    with pytest.raises(ValueError, match="non-finite samples"):
+        load_wav(path)
 
 
 _RESAMPLE_RATES = [8000, 11025, 16000, 24000, 32000, 44100, 48000, 22051]

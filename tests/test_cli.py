@@ -386,6 +386,9 @@ def test_read_manifest_validation(tmp_path):
     manifest.write_text("utterance_id,ref_wav,token_count\nu1,a.wav,twelve\n")
     with pytest.raises(UsageError, match="token_count"):
         read_manifest(manifest)
+    manifest.write_text("utterance_id,ref_wav,ref_wav\nu1,a.wav,b.wav\n")  # the last cell won
+    with pytest.raises(UsageError, match=r"columns named more than once: \['ref_wav'\]"):
+        read_manifest(manifest)
 
 
 def test_negative_token_count_is_usage_error(corpus, tmp_path, capsys):
