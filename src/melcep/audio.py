@@ -30,6 +30,10 @@ _DB_FLOOR = 1e-12
 _HP_BLOCK = 64
 _HP_SPAN = 1 << 15
 
+# Largest reduced up or down factor that ``resample`` takes: its filter has 20x
+# that many taps, about 1.6 kB of peak memory per unit; 2**15 admits 8-768 kHz.
+RESAMPLE_MAX_FACTOR = 1 << 15
+
 # Last 12 bytes of the KSDATAFORMAT_SUBTYPE GUIDs whose first 4 bytes are a format tag.
 _WAV_GUID_TAIL = b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
 
@@ -181,19 +185,16 @@ def silence_mask(x: np.ndarray, rate: int, threshold_db: float) -> np.ndarray:
     if n < frame:
         return np.full(n, rms_dbfs(x) < threshold_db)
     n_frames = 1 + (n - frame) // hop
-    starts = np.arange(n_frames) * hop
     windows = np.lib.stride_tricks.sliding_window_view(np.square(x), frame)[::hop]
     frame_db = 10.0 * np.log10(np.maximum(np.mean(windows, axis=1), _DB_FLOOR**2))
     silent = frame_db < threshold_db
     counts = np.full(n_frames, hop)
-    counts[-1] = n - starts[-1]
+    counts[-1] = n - (n_frames - 1) * hop  # from the last frame's start to the end
     return np.repeat(silent, counts)
 
 
 def _silent_runs(mask: np.ndarray):
-    """Yield (start, end) of maximal True runs in a boolean mask."""
-    if mask.size == 0:
-        return
+    """Yield (start, end) of maximal True runs in a non-empty boolean mask."""
     edges = np.flatnonzero(np.diff(mask.astype(np.int8)))
     starts = ([0] if mask[0] else []) + (edges[mask[edges + 1]] + 1).tolist()
     ends = (edges[~mask[edges + 1]] + 1).tolist() + ([mask.size] if mask[-1] else [])
@@ -342,12 +343,16 @@ def _polyphase(up: int, down: int):
 
 def resample(x: np.ndarray, rate: int, target_rate: int) -> np.ndarray:
     """Polyphase resampling with a Kaiser (beta 8.6) windowed-sinc filter,
-    ``scipy.signal.resample_poly``'s output to within 1e-12."""
+    ``scipy.signal.resample_poly``'s output to within 1e-12.  ValueError,
+    before any filter is built, if up or down exceeds ``RESAMPLE_MAX_FACTOR``."""
     x = np.asarray(x, dtype=np.float64)
     if rate == target_rate:
         return x
     g = math.gcd(target_rate, rate)
     up, down = target_rate // g, rate // g
+    if max(up, down) > RESAMPLE_MAX_FACTOR:
+        raise ValueError(f"cannot resample {rate} Hz to {target_rate} Hz: the ratio {up}/{down} "
+                         f"has a term above {RESAMPLE_MAX_FACTOR}")
     period, stride, start, mats = _polyphase(up, down)
     n_out = -(-x.size * up // down)
     rows = max(1, -(-n_out // period))

@@ -21,7 +21,7 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from . import compare as cmp
@@ -94,10 +94,16 @@ MANIFEST_FIELDS = tuple(f.name for f in fields(ManifestEntry))
 
 @dataclass(frozen=True)
 class RunConfig:
-    preprocess: PreprocessConfig
-    stft: StftConfig
-    mel: MelConfig
-    metric: MetricConfig
+    preprocess: PreprocessConfig = PreprocessConfig()
+    stft: StftConfig = StftConfig()
+    mel: MelConfig = MelConfig()
+    metric: MetricConfig = MetricConfig()
+
+    def __post_init__(self):
+        # the mel cepstrum has n_mels // 2 + 1 quefrency bins
+        self.metric.resolve_cutoff(self.mel.n_mels // 2 + 1)
+        # not mel_filterbank: its 300 kB freed here gave forked workers a third more page faults
+        spectral.mel_band_edges(self.mel, self.preprocess.target_rate, self.stft.n_fft)
 
 
 def _parse_bool(value: str) -> bool:
@@ -120,30 +126,28 @@ def _finite_float(value: str) -> float:
     return number
 
 
+# Config file key -> (RunConfig section, parser of the field's annotation), for
+# every section field but soft_tau, which only the library function croll95_soft
+# reads.  cutoff_q's None (a quarter of the quefrencies) has no spelling in a file.
+_PARSERS = {
+    "int": int,
+    "int | None": int,
+    "float": _finite_float,
+    "float | None": lambda v: None if v.lower() in ("none", "off") else _finite_float(v),
+    "bool": _parse_bool,
+}
 _CONFIG_KEYS = {
-    "target_rate": ("preprocess", int),
-    "silence_trim_ms": ("preprocess", _finite_float),
-    "silence_threshold_db": ("preprocess", _finite_float),
-    "highpass_hz": ("preprocess", _finite_float),
-    "target_level_dbfs": ("preprocess", lambda v: None if v.lower() in ("none", "off") else _finite_float(v)),
-    "cap_long_silence": ("preprocess", _parse_bool),
-    "n_fft": ("stft", int),
-    "win_length": ("stft", int),
-    "hop": ("stft", int),
-    "n_mels": ("mel", int),
-    "f_min": ("mel", _finite_float),
-    "f_max": ("mel", _finite_float),
-    "clamp_floor": ("mel", _finite_float),
-    "cutoff_q": ("metric", int),
-    "eps": ("metric", _finite_float),
-    "rolloff_fraction": ("metric", _finite_float),
+    f.name: (section.name, _PARSERS[f.type])
+    for section in fields(RunConfig)
+    for f in fields(section.default)
+    if f.name != "soft_tau"
 }
 
 
 def load_run_config(path=None, qc=None, eps=None) -> RunConfig:
     """Build the run configuration from an optional key=value file plus flag
     overrides (flags win)."""
-    sections = {"preprocess": {}, "stft": {}, "mel": {}, "metric": {}}
+    sections = {section.name: {} for section in fields(RunConfig)}
     if path is not None:
         try:
             text = Path(path).read_text(encoding="utf-8-sig")
@@ -168,19 +172,9 @@ def load_run_config(path=None, qc=None, eps=None) -> RunConfig:
     if eps is not None:
         sections["metric"]["eps"] = eps
     try:
-        run = RunConfig(
-            preprocess=PreprocessConfig(**sections["preprocess"]),
-            stft=StftConfig(**sections["stft"]),
-            mel=MelConfig(**sections["mel"]),
-            metric=MetricConfig(**sections["metric"]),
-        )
-        # the mel cepstrum has n_mels // 2 + 1 quefrency bins
-        run.metric.resolve_cutoff(run.mel.n_mels // 2 + 1)
-        # not mel_filterbank: its 300 kB freed here gave forked workers a third more page faults
-        spectral.mel_band_edges(run.mel, run.preprocess.target_rate, run.stft.n_fft)
+        return RunConfig(**{f.name: replace(f.default, **sections[f.name]) for f in fields(RunConfig)})
     except ValueError as exc:
         raise UsageError(f"invalid configuration: {exc}") from exc
-    return run
 
 
 def read_manifest(path) -> list[ManifestEntry]:

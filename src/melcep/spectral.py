@@ -102,31 +102,11 @@ def mel_to_hz(m):
     return f if f.ndim else float(f)
 
 
-def reflect_pad(x: np.ndarray, pad: int) -> np.ndarray:
-    """Reflection padding without edge duplication, valid for any pad width.
-
-    Matches numpy's mode='reflect' when pad < len(x); longer pads keep
-    bouncing between the signal ends with period 2*(len(x)-1).
-    """
-    n = x.size
-    if pad == 0:
-        return x
-    if n == 1:
-        return np.full(n + 2 * pad, x[0])
-    if pad < n:
-        return np.concatenate((x[pad:0:-1], x, x[-2 : -pad - 2 : -1]))
-    idx = np.arange(-pad, n + pad)
-    period = 2 * (n - 1)
-    idx = np.mod(idx, period)
-    idx = np.where(idx >= n, period - idx, idx)
-    return x[idx]
-
-
 def _frames(w: Waveform, cfg: StftConfig) -> np.ndarray:
     """Read-only frames x n_fft view of the reflection-padded signal, one frame every hop."""
     if w.samples.size < cfg.hop:
         raise ValueError("signal shorter than one hop")
-    xp = reflect_pad(w.samples, cfg.pad)
+    xp = np.pad(w.samples, cfg.pad, mode="reflect")
     return np.lib.stride_tricks.sliding_window_view(xp, cfg.n_fft)[:: cfg.hop]
 
 

@@ -122,8 +122,6 @@ def exact_u_counts(n1: int, n2: int) -> np.ndarray:
         for j in range(min(i, n1), 0, -1):
             # picking rank i as the j-th chosen item adds i - j to U
             add = i - j
-            if add > total_u:
-                continue
             counts[j, add:] += counts[j - 1, : total_u + 1 - add]
     return counts[n1]
 

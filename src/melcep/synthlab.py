@@ -25,8 +25,9 @@ from .spectral import LogMelSpectrogram
 
 KINDS = ("mel_moving_average", "mel_gaussian_blur", "variance_shrink")
 DEFAULT_SEED = 0xA5C
-FILTER_STRENGTHS = (1, 3, 5, 9, 15)
-SHRINK_STRENGTHS = (1.0, 0.7, 0.4, 0.1)
+# strengths past the identity (width 1, factor 1.0), each checked against it
+FILTER_STRENGTHS = (3, 5, 9, 15)
+SHRINK_STRENGTHS = (0.7, 0.4, 0.1)
 
 # Slack allowed when comparing a degraded frame's metric against the
 # baseline: metric(degraded) <= metric(original) + tolerance.
@@ -92,22 +93,19 @@ def degrade(s: LogMelSpectrogram, spec: DegradationSpec) -> LogMelSpectrogram:
         out = mean + spec.strength * (values - mean)
     else:
         width = int(spec.strength)
-        if width == 1:
-            out = values.copy()
-        else:
-            kernel = (
-                np.full(width, 1.0 / width)
-                if spec.kind == "mel_moving_average"
-                else _gaussian_kernel(width)
-            )
-            # reflection without edge duplication (ndimage's "mirror"), then
-            # scipy.ndimage.convolve1d's order for a symmetric kernel: the
-            # centre tap, then each pair of taps from the outside in
-            half, n = width // 2, values.shape[0]
-            padded = np.pad(values, ((half, half), (0, 0)), mode="reflect")
-            out = padded[half : half + n] * kernel[half]
-            for j in range(half, 0, -1):
-                out += (padded[half - j : half - j + n] + padded[half + j : half + j + n]) * kernel[half + j]
+        kernel = (
+            np.full(width, 1.0 / width)
+            if spec.kind == "mel_moving_average"
+            else _gaussian_kernel(width)
+        )
+        # reflection without edge duplication (ndimage's "mirror"), then
+        # scipy.ndimage.convolve1d's order for a symmetric kernel: the
+        # centre tap, then each pair of taps from the outside in
+        half, n = width // 2, values.shape[0]
+        padded = np.pad(values, ((half, half), (0, 0)), mode="reflect")
+        out = padded[half : half + n] * kernel[half]
+        for j in range(half, 0, -1):
+            out += (padded[half - j : half - j + n] + padded[half + j : half + j + n]) * kernel[half + j]
     return LogMelSpectrogram(out)
 
 
@@ -201,10 +199,7 @@ def run_monotonicity_suite(
     names = list(fns)
     results: dict[tuple, StrengthResult] = {}
     for kind in KINDS:
-        strengths = SHRINK_STRENGTHS if kind == "variance_shrink" else FILTER_STRENGTHS
-        for strength in strengths:
-            if strength == (1.0 if kind == "variance_shrink" else 1):
-                continue
+        for strength in SHRINK_STRENGTHS if kind == "variance_shrink" else FILTER_STRENGTHS:
             results[(kind, strength)] = StrengthResult(
                 kind, float(strength), 0,
                 {n: 0 for n in names}, {n: 0.0 for n in names},

@@ -2,8 +2,9 @@
 
 A small corpus of closed-form signals (harmonic tones, a glide, a pause, a
 silent file; no random numbers, each under a second, 16-44.1 kHz, PCM16 and
-float32) runs through the three batch subcommands.  The outputs must match
-the files under ``expected/``:
+float32) runs through the three batch subcommands: serially, with two
+workers, and serially in a process where scipy cannot be imported.  The
+outputs must match the files under ``expected/``:
 
 * exactly: the set of files, the exit codes, CSV headers, integer columns,
   JSON keys, missing values, text cells and ``errors.log``;
@@ -22,11 +23,14 @@ import csv
 import json
 import math
 import os
+import subprocess
+import sys
 from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
+import melcep
 from melcep.cli import main
 
 from conftest import write_wav_bytes
@@ -106,14 +110,15 @@ def _cwd(path: Path):
         os.chdir(old)
 
 
-def run_subcommands(root: Path) -> dict[str, int]:
+def run_subcommands(root: Path, workers: int = 1) -> dict[str, int]:
     """Run the three subcommands in ``root``, writing under ``root/out``; return their exit codes."""
+    flags = ["--workers", str(workers)]
     with _cwd(root):
         return {
-            "features": main(["features", "--manifest", "features.csv", "--out", "out/features"]),
-            "compare": main(["compare", "--manifest", "compare.csv", "--out", "out/compare"]),
+            "features": main(["features", "--manifest", "features.csv", "--out", "out/features", *flags]),
+            "compare": main(["compare", "--manifest", "compare.csv", "--out", "out/compare", *flags]),
             "corpus-stats": main(["corpus-stats", "--manifest-a", "stats_a.csv", "--manifest-b", "stats_b.csv",
-                                  "--out", "out/stats/stats.csv"]),
+                                  "--out", "out/stats/stats.csv", *flags]),
         }
 
 
@@ -168,11 +173,8 @@ def _check_blob(got: Path, want: Path, name: str) -> None:
     assert (np.abs(gv - wv) <= tol).all(), f"{name}: largest difference {np.abs(gv - wv).max():g}"
 
 
-def test_golden_outputs(tmp_path):
-    build_corpus(tmp_path)
-    codes = run_subcommands(tmp_path)
+def _check_outputs(out: Path, codes: dict[str, int]) -> None:
     assert codes == json.loads((EXPECTED / "exit_codes.json").read_text(encoding="utf-8"))
-    out = tmp_path / "out"
     names = _files(out)
     assert names == [n for n in _files(EXPECTED) if n != "exit_codes.json"]
     for name in names:
@@ -185,3 +187,27 @@ def test_golden_outputs(tmp_path):
             _check_blob(got, want, name)
         else:
             assert got.read_text(encoding="utf-8") == want.read_text(encoding="utf-8"), name
+
+
+def test_golden_outputs(tmp_path):
+    build_corpus(tmp_path)
+    _check_outputs(tmp_path / "out", run_subcommands(tmp_path))
+
+
+def test_golden_outputs_with_two_workers(tmp_path):
+    build_corpus(tmp_path)
+    _check_outputs(tmp_path / "out", run_subcommands(tmp_path, workers=2))
+
+
+def test_golden_outputs_without_scipy(tmp_path):
+    """The batch subcommands run, not only import, with scipy unimportable."""
+    build_corpus(tmp_path)
+    here = Path(__file__).resolve().parent
+    path = [str(Path(melcep.__file__).resolve().parents[1]), str(here.parent), str(here)]
+    code = ("import json, sys; from pathlib import Path; sys.modules['scipy'] = None; "
+            "from test_golden import run_subcommands; print(json.dumps(run_subcommands(Path(sys.argv[1]))))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    _check_outputs(tmp_path / "out", json.loads(proc.stdout.splitlines()[-1]))

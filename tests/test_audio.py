@@ -510,6 +510,27 @@ def test_resample_memory_stays_linear_in_filter_length():
     assert peak < 48 * 2**20  # about 10 float64 copies of the filter
 
 
+@pytest.mark.parametrize("rate", [10**6 + 1, 2**32 - 1])
+def test_resample_refuses_a_ratio_past_the_bound_before_building_a_filter(rate):
+    # at about 1.6 kB per unit of the ratio, 10**6 + 1 Hz would ask for 1.6 GB
+    x = np.zeros(1000)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"cannot resample {rate} Hz to {SR} Hz: the ratio"):
+            audio.resample(x, rate, SR)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_resample_bound_admits_the_standard_rates():
+    rates = (8000, 11025, 16000, 22050, 24000, 32000, 44100, 48000, 88200, 96000, 176400, 192000, 384000, 768000)
+    pairs = [(rate, target) for rate in rates for target in rates] + [(22051, 22050)]
+    for rate, target in pairs:
+        assert max(rate, target) // math.gcd(rate, target) <= audio.RESAMPLE_MAX_FACTOR, (rate, target)
+
+
 @pytest.mark.parametrize("rate", [8000, 16000, 22050, 44100, 48000])
 @pytest.mark.parametrize("cutoff", [10.0, 20.0, 60.0, 150.0, 500.0])
 def test_highpass_matches_sosfiltfilt(rate, cutoff):

@@ -368,6 +368,30 @@ def test_corpus_stats_writes_error_log(corpus, tmp_path):
     assert len(lines) == 1 and lines[0].startswith("b\tzz_missing\t")
 
 
+def test_config_keys_are_the_section_fields_but_soft_tau(tmp_path):
+    assert list(cli._CONFIG_KEYS) == [
+        "target_rate", "silence_trim_ms", "silence_threshold_db", "highpass_hz", "target_level_dbfs",
+        "cap_long_silence", "n_fft", "win_length", "hop", "n_mels", "f_min", "f_max", "clamp_floor",
+        "cutoff_q", "eps", "rolloff_fraction",
+    ]
+    assert [section for section, _ in cli._CONFIG_KEYS.values()] == (
+        ["preprocess"] * 6 + ["stft"] * 3 + ["mel"] * 4 + ["metric"] * 3
+    )
+    # only target_level_dbfs spells None; cutoff_q's None is its default
+    config = tmp_path / "cfg.txt"
+    config.write_text("target_level_dbfs = off\n")
+    assert load_run_config(config).preprocess.target_level_dbfs is None
+    config.write_text("cutoff_q = none\n")
+    with pytest.raises(UsageError, match="config line 1: bad value for cutoff_q: invalid literal for int"):
+        load_run_config(config)
+
+
+def test_readme_lists_the_config_keys():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    listed = readme.split("### Config file keys", 1)[1].split("`", 2)[1]
+    assert [key.strip() for key in listed.split(",")] == list(cli._CONFIG_KEYS)
+
+
 def test_load_run_config_rejects_unknown_key(tmp_path):
     config = tmp_path / "cfg.txt"
     config.write_text("mystery_flag = 1\n")
@@ -420,6 +444,44 @@ def test_non_finite_pitch_cell_fails_its_entry(corpus, tmp_path, bad_rows):
     assert out.exists()
     (line,) = (out.parent / "errors.log").read_text().splitlines()
     assert line.startswith(f"a\tzz_bad\tValueError: pitch CSV {bad_f0} row 3: expected finite numbers")
+
+
+def test_compare_all_unvoiced_syn_pitch_reports_null(corpus, tmp_path):
+    _, _, rows = corpus
+    unvoiced = tmp_path / "unvoiced.f0.csv"
+    _write_pitch(unvoiced, np.zeros(50))
+    manifest = tmp_path / "m.csv"
+    _write_manifest(manifest, [dict(rows[0], f0_syn=str(unvoiced))])
+    out = tmp_path / "cmp"
+    assert main(["compare", "--manifest", str(manifest), "--out", str(out)]) == 0
+    report = json.loads((out / f"{rows[0]['utterance_id']}.report.json").read_text())
+    assert report["f0_rmse"] is None and report["pearson_r"] is None
+    assert report["vuv_error"] > 0
+
+
+def test_header_only_pitch_csv_fails_its_entry(corpus, tmp_path):
+    _, _, rows = corpus
+    header_only = tmp_path / "empty.f0.csv"
+    header_only.write_text("time_s,f0_hz\n")
+    manifest = tmp_path / "m.csv"
+    _write_manifest(manifest, [dict(rows[0]), dict(rows[1], f0_ref=str(header_only))])
+    out = tmp_path / "cmp"
+    assert main(["compare", "--manifest", str(manifest), "--out", str(out)]) == 2
+    (line,) = (out / "errors.log").read_text().splitlines()
+    assert line == f"{rows[1]['utterance_id']}\tValueError: pitch CSV {header_only} has no rows"
+
+
+def test_wav_rate_past_the_resampler_bound_fails_its_entry(corpus, tmp_path):
+    _, _, rows = corpus
+    fast = tmp_path / "fast.wav"
+    write_wav_bytes(fast, speechlike(np.random.default_rng(5), 0.05, rate=1_000_003), 1_000_003, "pcm16")
+    manifest = tmp_path / "m.csv"
+    _write_manifest(manifest, [dict(rows[0]), {"utterance_id": "zz_fast", "ref_wav": str(fast)}])
+    out = tmp_path / "feat"
+    assert main(["features", "--manifest", str(manifest), "--out", str(out)]) == 2
+    (line,) = (out / "errors.log").read_text().splitlines()
+    assert line.startswith("zz_fast\tValueError: cannot resample 1000003 Hz to 22050 Hz: the ratio 22050/1000003")
+    assert (out / f"{rows[0]['utterance_id']}.lmel").exists()
 
 
 @pytest.mark.parametrize(

@@ -350,6 +350,12 @@ def test_pitch_metrics_too_few_voiced_pairs():
     assert m.f0_rmse == pytest.approx(20.0)
 
 
+def test_pitch_metrics_no_pair_voiced_on_both_sides():
+    ref = PitchContour(np.array([100.0, 110.0, 120.0]), np.ones(3, dtype=bool))
+    syn = PitchContour(np.zeros(4), np.zeros(4, dtype=bool))
+    assert pitch_metrics(ref, syn) == (None, None, 1.0)
+
+
 def test_pitch_contour_validation():
     with pytest.raises(ValueError):
         PitchContour(np.array([100.0, 0.0]), np.array([True, True]))
@@ -455,6 +461,13 @@ def test_load_pitch_csv(tmp_path):
     assert np.array_equal(c.voiced, [True, False, False, True, False])
     assert c.f0[0] == 120.5 and c.f0[3] == 131.25
     assert np.all(c.f0[~c.voiced] == 0.0)
+
+
+def test_load_pitch_csv_skips_blank_rows_and_rows_without_a_time(tmp_path):
+    path = tmp_path / "f0.csv"
+    path.write_text("time_s,f0_hz\n\n0.0,100\n,120\n  ,130\n\n0.01160998,\n")
+    c = load_pitch_csv(path)
+    assert np.array_equal(c.f0, [100.0, 0.0]) and np.array_equal(c.voiced, [True, False])
 
 
 def test_load_pitch_csv_accepts_utf8_bom(tmp_path):
