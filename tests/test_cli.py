@@ -520,31 +520,98 @@ def test_corpus_stats_bad_manifest_b_fails_before_any_work(corpus, tmp_path, mon
     assert loaded == []
 
 
+def _serial_and_parallel(command, manifest, other, out_root, capsys):
+    """Outputs ({name: bytes}) and stderr of ``command`` with ``--workers`` 1
+    and 2; ``other`` is corpus-stats's manifest b.  Every run exits 2."""
+    outputs, stderr = [], []
+    for workers in ("1", "2"):
+        out = out_root / f"w{workers}"
+        if command != "corpus-stats":
+            argv = [command, "--manifest", str(manifest), "--out", str(out)]
+        else:
+            argv = [command, "--manifest-a", str(manifest), "--manifest-b", str(other),
+                    "--out", str(out / "stats.csv")]
+        assert main(argv + ["--workers", workers]) == 2
+        stderr.append(capsys.readouterr().err)
+        outputs.append({path.name: path.read_bytes() for path in sorted(out.iterdir())})
+    return outputs, stderr
+
+
+def _expected_outputs(command, rows):
+    if command == "features":
+        return {"errors.log"} | {f"{r['utterance_id']}{suffix}" for r in rows for suffix in (".lmel", ".metrics.csv")}
+    if command == "corpus-stats":
+        return {"errors.log", "stats.csv"}
+    return {"errors.log", "aggregate.csv"} | {f"{r['utterance_id']}.report.json" for r in rows}
+
+
 @pytest.mark.parametrize("command", ["features", "compare", "corpus-stats"])
 def test_batch_parallel_matches_serial(corpus, tmp_path, capsys, command):
     _, manifest, rows = corpus
     with_missing = tmp_path / "with_missing.csv"
     missing = dict(rows[0], utterance_id="utt01x", ref_wav=str(tmp_path / "nope.wav"))
     _write_manifest(with_missing, [dict(r) for r in rows] + [missing])
-    outputs, stderr = [], []
-    for workers in ("1", "2"):
-        out = tmp_path / f"w{workers}"
-        if command != "corpus-stats":
-            argv = [command, "--manifest", str(with_missing), "--out", str(out)]
-        else:
-            argv = [command, "--manifest-a", str(with_missing), "--manifest-b", str(manifest),
-                    "--out", str(out / "stats.csv")]
-        assert main(argv + ["--workers", workers]) == 2
-        stderr.append(capsys.readouterr().err)
-        outputs.append({path.name: path.read_bytes() for path in sorted(out.iterdir())})
-    expected = {"errors.log", "aggregate.csv"} | {f"{r['utterance_id']}.report.json" for r in rows}
-    if command == "features":
-        expected = {"errors.log"} | {f"{r['utterance_id']}{suffix}" for r in rows for suffix in (".lmel", ".metrics.csv")}
-    if command == "corpus-stats":
-        expected = {"errors.log", "stats.csv"}
-    assert set(outputs[0]) == expected
+    outputs, stderr = _serial_and_parallel(command, with_missing, manifest, tmp_path, capsys)
+    assert set(outputs[0]) == _expected_outputs(command, rows)
     assert outputs[0] == outputs[1]
     assert "utt01x" in stderr[0] and stderr[0] == stderr[1]
+
+
+def _many_entries(corpus, count):
+    """``count`` manifest rows that reuse the corpus's three wavs and pitch CSVs."""
+    _, _, rows = corpus
+    return [dict(rows[k % len(rows)], utterance_id=f"many{k:02d}", token_count=20 + k) for k in range(count)]
+
+
+@pytest.mark.parametrize("command", ["features", "compare", "corpus-stats"])
+def test_batch_parallel_matches_serial_across_chunks(corpus, tmp_path, capsys, command):
+    """With more entries than pool chunks, some chunks hold several entries,
+    and one of them a failing entry; the results still come back in
+    manifest order, byte-identical to the serial run."""
+    rows = _many_entries(corpus, 19)
+    assert len(rows) > 2 * cli.CHUNKS_PER_WORKER
+    missing = dict(rows[5], utterance_id="many05x", ref_wav=str(tmp_path / "nope.wav"))
+    manifest = tmp_path / "many.csv"
+    _write_manifest(manifest, rows + [missing])
+    outputs, stderr = _serial_and_parallel(command, manifest, corpus[1], tmp_path, capsys)
+    assert set(outputs[0]) == _expected_outputs(command, rows)
+    assert outputs[0] == outputs[1]
+    assert stderr[0].count("error: ") == 1 and "many05x" in stderr[0] and stderr[0] == stderr[1]
+
+
+def test_pool_gets_one_task_per_chunk(corpus, tmp_path, monkeypatch):
+    """20 entries on 2 workers reach the pool in at most 2 * CHUNKS_PER_WORKER
+    submits of contiguous chunks, which together hold the manifest in order."""
+    rows = _many_entries(corpus, 20)
+    manifest = tmp_path / "many.csv"
+    _write_manifest(manifest, rows)
+    sizes, chunks = [], []
+
+    class Recorder(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers)
+
+        def submit(self, fn, worker, chunk):
+            chunks.append([entry.utterance_id for entry, *_ in chunk])
+            return super().submit(fn, worker, chunk)
+
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", Recorder)
+    out = tmp_path / "out"
+    assert main(["features", "--manifest", str(manifest), "--out", str(out), "--workers", "2"]) == 0
+    assert sizes == [2]
+    assert 2 <= len(chunks) <= 2 * cli.CHUNKS_PER_WORKER
+    assert [utt for chunk in chunks for utt in chunk] == [r["utterance_id"] for r in rows]
+    assert len(list(out.glob("*.lmel"))) == 20
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_chunks_are_contiguous_and_balanced(workers):
+    for n in range(1, 30):
+        chunks = cli._chunks(list(range(n)), workers)
+        assert len(chunks) == min(n, cli.CHUNKS_PER_WORKER * workers)
+        assert [k for chunk in chunks for k in chunk] == list(range(n))
+        assert max(map(len, chunks)) - min(map(len, chunks)) <= 1
 
 
 def test_compare_all_entries_failing_writes_empty_aggregate(corpus, tmp_path, capsys):
@@ -570,7 +637,7 @@ def test_pool_is_capped_at_entry_count(corpus, tmp_path, monkeypatch):
             sizes.append(max_workers)
             super().__init__(max_workers)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", Recorder)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", Recorder)
     assert main(["features", "--manifest", str(manifest), "--out", str(tmp_path / "out"), "--workers", "8"]) == 0
     assert sizes == [len(rows)] == [3]
 
@@ -859,6 +926,53 @@ def test_dying_worker_fails_unfinished_entries(tmp_path, monkeypatch, capsys):
     assert 1 <= len(workers) <= 2 and str(os.getpid()) not in workers
 
 
+def test_dying_worker_fails_its_whole_chunk(tmp_path, monkeypatch, capsys):
+    """When a worker dies inside a chunk of several entries, every entry of
+    that chunk fails, also the one that ran before the crash; chunks that
+    returned keep their outputs, the run exits 2, and no entry runs in the
+    parent."""
+    if multiprocessing.get_start_method() != "fork":
+        pytest.skip("the dying entry reaches the workers through a forked copy of the module")
+    rng = np.random.default_rng(8)
+    rows = []
+    for k in range(12):
+        wav = tmp_path / f"utt{k:02d}.wav"
+        write_wav_bytes(wav, speechlike(rng, 0.3), SR, "float32")
+        rows.append({"utterance_id": f"utt{k:02d}", "ref_wav": str(wav)})
+    manifest = tmp_path / "m.csv"
+    _write_manifest(manifest, rows, fields=("utterance_id", "ref_wav"))
+    chunks = cli._chunks([r["utterance_id"] for r in rows], 2)
+    dying_chunk = next(chunk for chunk in chunks[2:] if len(chunk) > 1)
+    pids = tmp_path / "pids.txt"
+    real_load_wav = cli.load_wav
+
+    def load_or_die(path):
+        with open(pids, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()}\n")
+        if Path(path).stem == dying_chunk[-1]:
+            os._exit(7)
+        return real_load_wav(path)
+
+    monkeypatch.setattr(cli, "load_wav", load_or_die)
+    out = tmp_path / "out"
+    assert main(["features", "--manifest", str(manifest), "--out", str(out), "--workers", "2"]) == 2
+    failed = dict(line.split("\t") for line in (out / "errors.log").read_text().splitlines())
+    assert set(dying_chunk) <= set(failed)
+    assert all(message.startswith("BrokenProcessPool: ") for message in failed.values())
+    err = capsys.readouterr().err
+    for chunk in chunks:
+        assert set(chunk) <= set(failed) or not set(chunk) & set(failed)
+    for row in rows:
+        utt = row["utterance_id"]
+        if utt in failed:
+            assert f"error: {utt}: BrokenProcessPool: " in err
+        else:
+            assert read_blob(out / f"{utt}.lmel").n_frames > 0
+            assert (out / f"{utt}.metrics.csv").read_text().startswith("frame_index,")
+    workers = set(pids.read_text().split())
+    assert 1 <= len(workers) <= 2 and str(os.getpid()) not in workers
+
+
 @pytest.mark.parametrize("command", ["compare", "corpus-stats"])
 def test_batch_run_leaves_numpy_ma_unimported(corpus, tmp_path, command):
     """``np.median`` imports numpy.ma on first use; the summaries do without it."""
@@ -870,3 +984,18 @@ def test_batch_run_leaves_numpy_ma_unimported(corpus, tmp_path, command):
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["0", "False"]
+
+
+@pytest.mark.parametrize("command", ["features", "compare", "corpus-stats"])
+def test_serial_run_leaves_the_pool_unimported(corpus, tmp_path, command):
+    """A serial batch run imports neither concurrent.futures.process nor
+    multiprocessing; only a run that starts a pool pays for them."""
+    m = str(corpus[1])
+    argv = ([command, "--manifest", m, "--out", str(tmp_path / "out")] if command != "corpus-stats"
+            else [command, "--manifest-a", m, "--manifest-b", m, "--out", str(tmp_path / "stats.csv")])
+    code = (f"import sys; from melcep.cli import main; rc = main({argv!r}); "
+            "print(rc, sorted({'concurrent.futures.process', 'multiprocessing'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "[]"]
