@@ -411,15 +411,18 @@ def cmd_synthlab(args) -> int:
     return EXIT_OK if report.passed else EXIT_PROPERTY
 
 
-def _positive_int(value: str) -> int:
-    """argparse type of the count flags: an integer of at least 1."""
-    try:
-        count = int(value)
-    except ValueError:
-        count = 0
-    if count < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer of at least 1, got {value!r}")
-    return count
+def _int_at_least(minimum: int):
+    """argparse type of the count flags (1) and ``--seed`` (0): an integer of
+    at least ``minimum``."""
+    def parse(value: str) -> int:
+        try:
+            number = int(value)
+        except ValueError:
+            number = minimum - 1
+        if number < minimum:
+            raise argparse.ArgumentTypeError(f"expected an integer of at least {minimum}, got {value!r}")
+        return number
+    return parse
 
 
 class _Parser(argparse.ArgumentParser):
@@ -436,7 +439,7 @@ def build_parser() -> _Parser:
             p.add_argument("--manifest", required=True, help="manifest CSV path")
         p.add_argument("--out", required=True, help="output directory or file")
         p.add_argument("--config", default=None, help="key=value config file")
-        p.add_argument("--workers", type=_positive_int, default=1, help="parallel worker processes")
+        p.add_argument("--workers", type=_int_at_least(1), default=1, help="parallel worker processes")
         p.add_argument("--qc", type=int, default=None, help="metric cutoff quefrency override")
         p.add_argument("--eps", type=_finite_float, default=None, help="metric epsilon override")
 
@@ -450,8 +453,8 @@ def build_parser() -> _Parser:
 
     p_lab = sub.add_parser("synthlab", help="run the degradation monotonicity suite")
     p_lab.add_argument("--out", required=True)
-    p_lab.add_argument("--spectrograms", type=_positive_int, default=100)
-    p_lab.add_argument("--seed", type=int, default=synthlab.DEFAULT_SEED)
+    p_lab.add_argument("--spectrograms", type=_int_at_least(1), default=100)
+    p_lab.add_argument("--seed", type=_int_at_least(0), default=synthlab.DEFAULT_SEED)
     p_lab.add_argument("--inject-fault", action="store_true", help=argparse.SUPPRESS)
     return parser
 

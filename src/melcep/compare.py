@@ -24,6 +24,14 @@ _NORM_EPS = 1e-12
 # Elements in one row chunk of the l2 distance temporary (512 KB of
 # float64, small enough to stay in cache).
 _L2_CHUNK_ELEMS = 1 << 16
+# Largest n1 x n2 that ``dtw_align`` takes, checked before it allocates.  Its
+# float64 cost matrix measured 8.05-8.40 B/cell under tracemalloc (3000 x 3600
+# frames) at about 115 ns/cell (2-core KVM guest), so 2**27 cells cost about
+# 1.1 GB and 15 s: two minutes a side at 86 frames/s.  A few pool workers can
+# each hold one in 8 GB; a 3-minute pair (1.9 GB) fails its own entry instead
+# of drawing the OOM killer onto a worker, which fails its whole chunk.  The
+# benchmark's largest pair is about 2.8M cells.
+DTW_MAX_CELLS = 1 << 27
 
 
 @dataclass(frozen=True)
@@ -84,12 +92,12 @@ class UtteranceBundle:
     """One utterance's measurements: the per-wav record of every subcommand."""
 
     duration_s: float
-    metrics: UtteranceMetrics | None = None
+    metrics: UtteranceMetrics
     pitch: PitchContour | None = None
     token_count: int | None = None
 
     def measures(self) -> dict[str, float | None]:
-        """Utterance-level measures, None where an input is missing.
+        """Utterance-level measures, None where the pitch or token count is missing.
 
         ``mu_f0`` and ``sigma_f0`` are the mean and population std of the
         voiced f0; ``spr`` is the speaking rate in tokens per second of
@@ -101,7 +109,7 @@ class UtteranceBundle:
             float(np.mean(voiced)) if voiced.size else None,
             float(np.std(voiced)) if voiced.size else None,
             self.token_count / self.duration_s if has_tokens else None,
-            *(None if self.metrics is None else self.metrics.means[name] for name in METRIC_NAMES),
+            *(self.metrics.means[name] for name in METRIC_NAMES),
         )
         return dict(zip(MEASURES, values))
 
@@ -184,8 +192,9 @@ def dtw_align(a, b, distance: str = "cosine") -> tuple[DtwPath, float]:
     Raises
     ------
     ValueError
-        On empty, mismatched or non-finite input, an unknown distance, or
-        when every path's cost overflows to infinity (l2 on huge values).
+        On empty, mismatched or non-finite input, more than
+        ``DTW_MAX_CELLS`` cells, an unknown distance, or when every path's
+        cost overflows to infinity (l2 on huge values).
 
     Costs are accumulated in place in the distance matrix, one anti-diagonal
     at a time with numpy: each cell gets ``d + min(diag, up, left)``.  With
@@ -204,6 +213,9 @@ def dtw_align(a, b, distance: str = "cosine") -> tuple[DtwPath, float]:
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise ValueError("non-finite input: frames must not contain NaN or inf")
     n1, n2 = a.shape[0], b.shape[0]
+    if n1 * n2 > DTW_MAX_CELLS:
+        raise ValueError(f"cannot align {n1} x {n2} frames: the cost matrix needs {8 * n1 * n2} bytes, "
+                         f"over the budget of {DTW_MAX_CELLS} cells ({8 * DTW_MAX_CELLS} bytes)")
     cost = np.empty((n1, n2))
     _pairwise_distance(a, b, distance, cost)
 
@@ -329,19 +341,17 @@ def build_report(
         pm = pitch_metrics(ref_bundle.pitch, syn_bundle.pitch)
     else:
         pm = PitchMetrics(None, None, None)
-    if ref_bundle.metrics is not None and syn_bundle.metrics is not None:
-        mae = metric_curve_mae(ref_bundle.metrics, syn_bundle.metrics)
-    else:
-        mae = MetricCurveMae._make(None for _ in METRIC_NAMES)
+    mae = metric_curve_mae(ref_bundle.metrics, syn_bundle.metrics)
     return ComparisonReport(*dist, *pm, *mae, *utterance_deltas(ref_bundle, syn_bundle))
 
 
 def load_pitch_csv(path, hop: int = 256, sample_rate: int = 22050) -> PitchContour:
     """Read a pitch contour CSV with header ``time_s,f0_hz``.
 
-    Every cell is a finite number, except that an f0 cell may be empty.
-    Empty or non-positive f0 cells mark unvoiced frames.  Frame times must
-    be uniformly spaced at hop/sample_rate seconds (within 1e-6 s).
+    Every cell is a finite number, except that an f0 cell may be empty;
+    rows whose cells are all blank are skipped.  Empty or non-positive f0
+    cells mark unvoiced frames.  Frame times must be uniformly spaced at
+    hop/sample_rate seconds (within 1e-6 s).
     """
     times: list[float] = []
     f0: list[float] = []
@@ -351,7 +361,7 @@ def load_pitch_csv(path, hop: int = 256, sample_rate: int = 22050) -> PitchConto
         if header is None or [c.strip() for c in header[:2]] != ["time_s", "f0_hz"]:
             raise ValueError(f"pitch CSV {path!s} must start with header 'time_s,f0_hz'")
         for row in reader:
-            if not row or not row[0].strip():
+            if not any(cell.strip() for cell in row):
                 continue
             cell = row[1].strip() if len(row) > 1 else ""
             try:

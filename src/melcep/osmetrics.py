@@ -56,15 +56,11 @@ class MetricConfig:
 
 
 def hqer_series(p, cfg: MetricConfig | None = None) -> np.ndarray:
-    """High-quefrency energy ratio per frame; NaN where the frame is degenerate."""
+    """High-quefrency energy ratio per frame; every frame needs power above DC."""
     cfg = cfg or MetricConfig()
     power = np.asarray(p, dtype=np.float64)
     qc = cfg.resolve_cutoff(power.shape[0])
-    tail = power[1:, :]
-    total = tail.sum(axis=0)
-    high = power[qc:, :].sum(axis=0)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        return np.where(total > 0, high / total, np.nan)
+    return power[qc:].sum(axis=0) / power[1:].sum(axis=0)
 
 
 def cslope_series(p, cfg: MetricConfig | None = None) -> np.ndarray:
@@ -81,31 +77,23 @@ def cslope_series(p, cfg: MetricConfig | None = None) -> np.ndarray:
 
 
 def ccentroid_series(p, cfg: MetricConfig | None = None) -> np.ndarray:
-    """Energy-weighted mean quefrency per frame; NaN where degenerate."""
-    power = np.asarray(p, dtype=np.float64)
-    q = np.arange(1, power.shape[0], dtype=np.float64)
-    tail = power[1:, :]
-    total = tail.sum(axis=0)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        return np.where(total > 0, (q[:, None] * tail).sum(axis=0) / total, np.nan)
+    """Energy-weighted mean quefrency per frame; every frame needs power above DC."""
+    tail = np.asarray(p, dtype=np.float64)[1:]
+    q = np.arange(1, tail.shape[0] + 1, dtype=np.float64)
+    return (q[:, None] * tail).sum(axis=0) / tail.sum(axis=0)
 
 
 def croll95_series(p, cfg: MetricConfig | None = None) -> np.ndarray:
-    """Smallest q whose cumulative power fraction reaches the rolloff fraction."""
+    """Smallest integer q whose cumulative power fraction reaches the rolloff
+    fraction; every frame needs power above DC."""
     cfg = cfg or MetricConfig()
-    power = np.asarray(p, dtype=np.float64)
-    tail = power[1:, :]
-    total = tail.sum(axis=0)
-    out = np.full(power.shape[1], np.nan)
-    ok = total > 0
-    if ok.any():
-        frac = np.cumsum(tail[:, ok], axis=0) / total[ok]
-        out[ok] = np.argmax(frac >= cfg.rolloff_fraction, axis=0) + 1
-    return out
+    tail = np.asarray(p, dtype=np.float64)[1:]
+    frac = np.cumsum(tail, axis=0) / tail.sum(axis=0)
+    return np.argmax(frac >= cfg.rolloff_fraction, axis=0) + 1
 
 
 def croll95_soft_series(p, cfg: MetricConfig | None = None) -> np.ndarray:
-    """Soft-quantile rolloff surrogate.
+    """Soft-quantile rolloff surrogate; every frame needs power above DC.
 
     Weights each quefrency by softmax(-tau * |F(q) - fraction|) over
     q = 1..Q-1, where F is the cumulative power fraction; tau = 0 gives the
@@ -113,20 +101,14 @@ def croll95_soft_series(p, cfg: MetricConfig | None = None) -> np.ndarray:
     the plateau where F has already reached 1.
     """
     cfg = cfg or MetricConfig()
-    power = np.asarray(p, dtype=np.float64)
-    q = np.arange(1, power.shape[0], dtype=np.float64)
-    tail = power[1:, :]
-    total = tail.sum(axis=0)
-    out = np.full(power.shape[1], np.nan)
-    ok = total > 0
-    if ok.any():
-        frac = np.cumsum(tail[:, ok], axis=0) / total[ok]
-        logits = -cfg.soft_tau * np.abs(frac - cfg.rolloff_fraction)
-        logits -= logits.max(axis=0, keepdims=True)
-        weights = np.exp(logits)
-        weights /= weights.sum(axis=0, keepdims=True)
-        out[ok] = (q[:, None] * weights).sum(axis=0)
-    return out
+    tail = np.asarray(p, dtype=np.float64)[1:]
+    frac = np.cumsum(tail, axis=0) / tail.sum(axis=0)
+    q = np.arange(1, tail.shape[0] + 1, dtype=np.float64)
+    logits = -cfg.soft_tau * np.abs(frac - cfg.rolloff_fraction)
+    logits -= logits.max(axis=0, keepdims=True)
+    weights = np.exp(logits)
+    weights /= weights.sum(axis=0, keepdims=True)
+    return (q[:, None] * weights).sum(axis=0)
 
 
 SERIES = {
@@ -179,11 +161,11 @@ def usable_frames(qp: QuefrencyPower) -> np.ndarray:
     return ~qp.degenerate & (qp.power[1:].sum(axis=0) > 0)
 
 
-def _scalar(series_fn, p, cfg) -> float:
-    value = series_fn(np.asarray(p, dtype=np.float64)[:, None], cfg)[0]
-    if np.isnan(value):
+def _scalar(series_fn, p, cfg):
+    power = np.asarray(p, dtype=np.float64)[:, None]
+    if not power[1:].sum() > 0:  # the power test of usable_frames
         raise DegenerateFrameError("frame has no quefrency power above DC")
-    return float(value)
+    return series_fn(power, cfg)[0].item()
 
 
 def hqer(p, cfg: MetricConfig | None = None) -> float:
@@ -191,7 +173,7 @@ def hqer(p, cfg: MetricConfig | None = None) -> float:
 
 
 def cslope(p, cfg: MetricConfig | None = None) -> float:
-    return float(cslope_series(np.asarray(p, dtype=np.float64)[:, None], cfg)[0])
+    return _scalar(cslope_series, p, cfg)
 
 
 def ccentroid(p, cfg: MetricConfig | None = None) -> float:
@@ -199,7 +181,7 @@ def ccentroid(p, cfg: MetricConfig | None = None) -> float:
 
 
 def croll95(p, cfg: MetricConfig | None = None) -> int:
-    return int(_scalar(croll95_series, p, cfg))
+    return _scalar(croll95_series, p, cfg)
 
 
 def croll95_soft(p, cfg: MetricConfig | None = None) -> float:
@@ -207,16 +189,12 @@ def croll95_soft(p, cfg: MetricConfig | None = None) -> float:
 
 
 def utterance_metrics(p: QuefrencyPower, cfg: MetricConfig | None = None) -> UtteranceMetrics:
-    """Framewise series over non-degenerate frames plus their utterance means.
-
-    Degenerate (silent) frames are excluded from the series and the means.
-    """
+    """Framewise series over the ``usable_frames``, plus their utterance means."""
     cfg = cfg or MetricConfig()
     keep = usable_frames(p)
     if not keep.any():
         raise DegenerateFrameError("all frames degenerate")
     power = p.power[:, keep]
     um = UtteranceMetrics(frame_indices=np.flatnonzero(keep), **{name: fn(power, cfg) for name, fn in SERIES.items()})
-    um.croll95 = um.croll95.astype(int)
     um.means.update((name, float(np.mean(getattr(um, name)))) for name in METRIC_NAMES)
     return um

@@ -137,11 +137,6 @@ def noise_spectrogram(rng: np.random.Generator, n_frames: int = 30, n_mels: int 
     return LogMelSpectrogram(np.maximum(values, _LOG_FLOOR))
 
 
-def _metric_table(s: LogMelSpectrogram, cfg: MetricConfig, series_fns) -> tuple[dict, np.ndarray]:
-    qp = quefrency_power(mel_cepstrogram(s))
-    return {name: fn(qp.power, cfg) for name, fn in series_fns.items()}, usable_frames(qp)
-
-
 @dataclass
 class StrengthResult:
     kind: str
@@ -188,7 +183,9 @@ def run_monotonicity_suite(
     For every noise spectrogram in the fixed-seed suite and every
     (kind, strength) with strength beyond identity, each metric of the
     degraded spectrogram must not exceed the identity baseline's value by
-    more than its tolerance, on every frame non-degenerate in both versions.
+    more than its tolerance, on every frame usable in both versions.  The
+    spectrograms are checked as one bands x frames matrix, as ``degrade``,
+    the cepstrum and every metric act on each frame alone.
 
     ``series_fns`` lets tests inject a fake metric as a negative control.
     """
@@ -196,30 +193,28 @@ def run_monotonicity_suite(
         raise ValueError("n_spectrograms must be at least 1")
     cfg = MetricConfig()
     fns = series_fns or SERIES
-    names = list(fns)
-    results: dict[tuple, StrengthResult] = {}
+    rng = np.random.default_rng(seed)
+    values = np.concatenate([noise_spectrogram(rng, n_frames=n_frames).values for _ in range(n_spectrograms)], axis=1)
+    qp = quefrency_power(mel_cepstrogram(values))
+    keep = usable_frames(qp)
+    # np.compress keeps the matrices C-ordered: each sum adds as on one spectrogram
+    base = LogMelSpectrogram(np.compress(keep, values, axis=1))
+    base_metrics = {name: fn(np.compress(keep, qp.power, axis=1), cfg) for name, fn in fns.items()}
+
+    results = []
     for kind in KINDS:
         for strength in SHRINK_STRENGTHS if kind == "variance_shrink" else FILTER_STRENGTHS:
-            results[(kind, strength)] = StrengthResult(
-                kind, float(strength), 0,
-                {n: 0 for n in names}, {n: 0.0 for n in names},
-            )
-
-    rng = np.random.default_rng(seed)
-    for _ in range(n_spectrograms):
-        base = noise_spectrogram(rng, n_frames=n_frames)
-        base_metrics, base_ok = _metric_table(base, cfg, fns)
-        for (kind, strength), res in results.items():
-            deg_metrics, deg_ok = _metric_table(degrade(base, DegradationSpec(kind, strength)), cfg, fns)
-            ok = base_ok & deg_ok
-            res.frames_checked += int(ok.sum())
-            for name in names:
+            qp = quefrency_power(mel_cepstrogram(degrade(base, DegradationSpec(kind, strength))))
+            ok = usable_frames(qp)
+            power = np.compress(ok, qp.power, axis=1)
+            violations, max_excess = {}, {}
+            for name, fn in fns.items():
                 tol = MONOTONICITY_TOLERANCES.get(name, 0.0)
                 if kind == "variance_shrink" and name == "cslope":
                     tol = SHRINK_CSLOPE_TOLERANCE
-                excess = deg_metrics[name][ok] - base_metrics[name][ok]
-                bad = excess > tol
-                res.violations[name] += int(bad.sum())
-                if bad.any():
-                    res.max_excess[name] = max(res.max_excess[name], float(excess[bad].max()))
-    return SuiteReport(list(results.values()))
+                excess = fn(power, cfg) - base_metrics[name][ok]
+                bad = excess[excess > tol]
+                violations[name] = bad.size
+                max_excess[name] = float(bad.max(initial=0.0))
+            results.append(StrengthResult(kind, float(strength), int(ok.sum()), violations, max_excess))
+    return SuiteReport(results)

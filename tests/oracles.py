@@ -3,7 +3,8 @@
 Everything here is deliberately written the slow, obvious way: explicit
 summations for transforms, exhaustive search for alignments, brute-force
 enumeration for rank statistics, and scalar loops for filterbanks.  None of
-it shares code with the package.
+it shares code with the package, except ``monotonicity_suite_loop``, which
+checks how the package batches pieces that other tests check one by one.
 """
 
 from __future__ import annotations
@@ -328,3 +329,51 @@ def metrics_csv_rows(frame_indices, hqer, cslope, ccentroid, croll95) -> str:
             f"{ccentroid[i]:.6g},{int(croll95[i])}\n"
         )
     return "".join(out)
+
+
+def monotonicity_suite_loop(n_spectrograms, n_frames, seed, series_fns=None) -> list:
+    """``synthlab.run_monotonicity_suite``'s results from one noise
+    spectrogram at a time: the package's former loop.
+
+    Each spectrogram gets its own cepstrum and metric series over all of its
+    frames; the frames not usable in both the original and the degraded
+    version are masked afterwards, and the counts and maxima accumulate
+    across spectrograms.
+    """
+    from melcep.cepstral import mel_cepstrogram, quefrency_power
+    from melcep.osmetrics import SERIES, MetricConfig, usable_frames
+    from melcep.synthlab import (FILTER_STRENGTHS, KINDS, MONOTONICITY_TOLERANCES, SHRINK_CSLOPE_TOLERANCE,
+                                 SHRINK_STRENGTHS, DegradationSpec, StrengthResult, degrade, noise_spectrogram)
+
+    cfg = MetricConfig()
+    fns = series_fns or SERIES
+
+    def metric_table(s):
+        qp = quefrency_power(mel_cepstrogram(s))
+        # the series divide by each frame's power above DC, which a masked frame may lack
+        with np.errstate(invalid="ignore", divide="ignore"):
+            return {name: fn(qp.power, cfg) for name, fn in fns.items()}, usable_frames(qp)
+
+    results = {}
+    for kind in KINDS:
+        for strength in SHRINK_STRENGTHS if kind == "variance_shrink" else FILTER_STRENGTHS:
+            results[(kind, strength)] = StrengthResult(
+                kind, float(strength), 0, {n: 0 for n in fns}, {n: 0.0 for n in fns})
+    rng = np.random.default_rng(seed)
+    for _ in range(n_spectrograms):
+        base = noise_spectrogram(rng, n_frames=n_frames)
+        base_metrics, base_ok = metric_table(base)
+        for (kind, strength), res in results.items():
+            deg_metrics, deg_ok = metric_table(degrade(base, DegradationSpec(kind, strength)))
+            ok = base_ok & deg_ok
+            res.frames_checked += int(ok.sum())
+            for name in fns:
+                tol = MONOTONICITY_TOLERANCES.get(name, 0.0)
+                if kind == "variance_shrink" and name == "cslope":
+                    tol = SHRINK_CSLOPE_TOLERANCE
+                excess = deg_metrics[name][ok] - base_metrics[name][ok]
+                bad = excess > tol
+                res.violations[name] += int(bad.sum())
+                if bad.any():
+                    res.max_excess[name] = max(res.max_excess[name], float(excess[bad].max()))
+    return list(results.values())

@@ -428,7 +428,9 @@ def test_negative_token_count_is_usage_error(corpus, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "bad_rows", ["0.0,100\nnan,110\n0.02322,120", "0.0,100\n0.01161,nan\n0.02322,120"], ids=["nan-time", "nan-f0"]
+    "bad_rows",
+    ["0.0,100\nnan,110\n0.02322,120", "0.0,100\n0.01161,nan\n0.02322,120", "0.0,100\n,110\n0.02322,120"],
+    ids=["nan-time", "nan-f0", "empty-time"],
 )
 def test_non_finite_pitch_cell_fails_its_entry(corpus, tmp_path, bad_rows):
     _, manifest, rows = corpus
@@ -457,6 +459,22 @@ def test_compare_all_unvoiced_syn_pitch_reports_null(corpus, tmp_path):
     report = json.loads((out / f"{rows[0]['utterance_id']}.report.json").read_text())
     assert report["f0_rmse"] is None and report["pearson_r"] is None
     assert report["vuv_error"] > 0
+
+
+def test_alignment_over_the_cell_budget_fails_its_entry(corpus, tmp_path, monkeypatch):
+    _, manifest, rows = corpus
+    run = load_run_config()
+    frames = [cli._analyze(e, e.ref_wav, None, run)[0].n_frames for e in read_manifest(manifest)]
+    assert frames == sorted(frames) and frames[1] < frames[2]
+    # each pair aligns a wav with itself, so its largest alignment is the mel one
+    monkeypatch.setattr(cli.cmp, "DTW_MAX_CELLS", frames[1] ** 2)
+    out = tmp_path / "cmp"
+    assert main(["compare", "--manifest", str(manifest), "--out", str(out)]) == 2
+    (line,) = (out / "errors.log").read_text().splitlines()
+    n = frames[2]
+    assert line == (f"{rows[2]['utterance_id']}\tValueError: cannot align {n} x {n} frames: the cost matrix needs "
+                    f"{8 * n * n} bytes, over the budget of {frames[1] ** 2} cells ({8 * frames[1] ** 2} bytes)")
+    assert sorted(p.name for p in out.glob("*.report.json")) == [f"{row['utterance_id']}.report.json" for row in rows[:2]]
 
 
 def test_header_only_pitch_csv_fails_its_entry(corpus, tmp_path):
@@ -493,6 +511,7 @@ def test_wav_rate_past_the_resampler_bound_fails_its_entry(corpus, tmp_path):
         ["features", "--workers", "-2"],
         ["corpus-stats", "--workers", "0"],
         ["compare", "--workers", "two"],
+        ["synthlab", "--seed", "-1"],  # numpy's seeding raised a bare ValueError
     ],
 )
 def test_count_flags_below_one_are_usage_errors(corpus, tmp_path, capsys, argv):
@@ -505,7 +524,8 @@ def test_count_flags_below_one_are_usage_errors(corpus, tmp_path, capsys, argv):
     else:
         argv = argv + ["--manifest", str(manifest), "--out", str(out)]
     assert main(argv) == 1
-    assert "expected an integer of at least 1" in capsys.readouterr().err
+    minimum = 0 if "--seed" in argv else 1
+    assert f"error: argument {argv[1]}: expected an integer of at least {minimum}" in capsys.readouterr().err
     assert not out.exists()
 
 

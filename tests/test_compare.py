@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from melcep import compare
 from melcep.compare import (
     _pairwise_distance,
     PitchContour,
@@ -251,6 +252,20 @@ def test_dtw_matches_loop_reference_large(rng, snr_db):
     _assert_matches_loop(ref[:, :4], syn[:, :4], "l2")
 
 
+def test_dtw_cell_budget_fails_before_allocating(monkeypatch):
+    monkeypatch.setattr(compare, "DTW_MAX_CELLS", 11 * 13)
+    assert dtw_align(np.ones((11, 2)), np.ones((13, 2)), "l2")[1] == 0.0
+    monkeypatch.setattr(compare, "DTW_MAX_CELLS", 11 * 13 - 1)
+    monkeypatch.setattr(compare, "_pairwise_distance", None)  # raising first, it is never reached
+    message = "cannot align 11 x 13 frames: the cost matrix needs 1144 bytes, over the budget of 142 cells"
+    with pytest.raises(ValueError, match=message):
+        dtw_align(np.ones((11, 2)), np.ones((13, 2)))
+
+
+def test_dtw_cell_budget_admits_two_minutes_a_side():
+    assert compare.DTW_MAX_CELLS >= (120 * 22050 // 256) ** 2
+
+
 def test_dtw_errors():
     with pytest.raises(ValueError, match="dimension"):
         dtw_align(np.zeros((3, 2)), np.zeros((3, 3)))
@@ -464,8 +479,9 @@ def test_load_pitch_csv(tmp_path):
 
 
 def test_load_pitch_csv_skips_blank_rows_and_rows_without_a_time(tmp_path):
+    # a row without a time is skipped only when its f0 cell is blank too
     path = tmp_path / "f0.csv"
-    path.write_text("time_s,f0_hz\n\n0.0,100\n,120\n  ,130\n\n0.01160998,\n")
+    path.write_text("time_s,f0_hz\n\n0.0,100\n,\n  ,  \n\n0.01160998,\n")
     c = load_pitch_csv(path)
     assert np.array_equal(c.f0, [100.0, 0.0]) and np.array_equal(c.voiced, [True, False])
 
@@ -496,8 +512,12 @@ def test_load_pitch_csv_rejects_nonuniform_times(tmp_path):
         ("-inf,100", 2),
         ("0.0,100\n0.01161,-inf", 3),
         ("0.0,100\n0.01161,fast", 3),
+        # an empty time cell next to an f0 value dropped that f0 without an error
+        (",95\n0.0,100\n0.011609977,110", 2),
+        ("0.0,100\n0.011609977,110\n,120", 4),
     ],
-    ids=["nan-time", "nan-f0", "inf-f0", "minus-inf-time", "minus-inf-f0", "text-f0"],
+    ids=["nan-time", "nan-f0", "inf-f0", "minus-inf-time", "minus-inf-f0", "text-f0", "empty-time-leading",
+         "empty-time-trailing"],
 )
 def test_load_pitch_csv_rejects_non_finite_cells(tmp_path, rows, bad_row):
     path = tmp_path / "f0.csv"

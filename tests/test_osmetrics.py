@@ -126,6 +126,11 @@ def test_degenerate_frame_raises():
         ccentroid(point_mass(0, 5.0), CFG)  # only DC power
     with pytest.raises(DegenerateFrameError):
         croll95(np.zeros(Q), CFG)
+    # cslope needs no division by the power, but it takes the same frames as the others
+    with pytest.raises(DegenerateFrameError):
+        cslope(np.zeros(Q), CFG)
+    with pytest.raises(DegenerateFrameError):
+        cslope(point_mass(0, 5.0), CFG)
 
 
 def test_frame_metrics_bundle(rng):

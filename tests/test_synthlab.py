@@ -16,6 +16,8 @@ from melcep.synthlab import (
     synth_harmonic_spectrogram,
 )
 
+from oracles import monotonicity_suite_loop
+
 CFG = MetricConfig()
 
 
@@ -118,6 +120,33 @@ def test_monotonicity_suite_negative_control():
         n_spectrograms=5, n_frames=10, series_fns={"hqer": inverted}
     )
     assert not report.passed
+
+
+def _inverted_hqer(p, cfg=None):
+    return 1.0 - hqer_series(p, cfg)
+
+
+@pytest.mark.parametrize("series_fns", [None, dict(SERIES, hqer=_inverted_hqer)], ids=["series", "injected"])
+@pytest.mark.parametrize("seed, n_spectrograms, n_frames", [(DEFAULT_SEED, 7, 30), (1, 13, 2), (2, 3, 17), (3, 40, 5)])
+def test_one_pass_suite_equals_per_spectrogram_loop(seed, n_spectrograms, n_frames, series_fns):
+    results = run_monotonicity_suite(n_spectrograms, n_frames, seed, series_fns).results
+    assert results == monotonicity_suite_loop(n_spectrograms, n_frames, seed, series_fns)
+    assert len(results) == 11 and all(r.frames_checked > 0 for r in results)
+    # the injected metric's violations carry excess values, which must match too
+    assert (series_fns is None) == all(r.passed for r in results)
+
+
+def test_one_pass_suite_on_one_frame_spectrograms():
+    """A one-frame spectrogram's sums run over contiguous memory, where numpy
+    adds pairwise, so the loop's excess values may differ from the one-pass
+    suite's in the last bits; the counts are equal."""
+    series_fns = dict(SERIES, hqer=_inverted_hqer)
+    results = run_monotonicity_suite(13, 1, DEFAULT_SEED, series_fns).results
+    expected = monotonicity_suite_loop(13, 1, DEFAULT_SEED, series_fns)
+    for got, want in zip(results, expected, strict=True):
+        assert (got.kind, got.strength, got.frames_checked, got.violations) == (
+            want.kind, want.strength, want.frames_checked, want.violations)
+        assert got.max_excess == pytest.approx(want.max_excess, rel=1e-12, abs=1e-12)
 
 
 def test_suite_csv_one_row_per_kind_strength():
