@@ -364,7 +364,7 @@ def resample(x: np.ndarray, rate: int, target_rate: int) -> np.ndarray:
     return y.transpose(1, 0, 2).reshape(rows, -1)[:, :period].ravel()[:n_out]
 
 
-def preprocess(w: Waveform, cfg: PreprocessConfig | None = None) -> Waveform:
+def preprocess(w: Waveform, cfg: PreprocessConfig = PreprocessConfig()) -> Waveform:
     """Run the full preprocessing chain on a waveform.
 
     Stages, in order: resample to ``cfg.target_rate``; shorten silence runs
@@ -376,7 +376,6 @@ def preprocess(w: Waveform, cfg: PreprocessConfig | None = None) -> Waveform:
 
     Raises SilentSignalError when the input has no content above the gate.
     """
-    cfg = cfg or PreprocessConfig()
     if len(w) == 0:
         raise ValueError("empty waveform")
     x = resample(w.samples, w.sample_rate, cfg.target_rate)

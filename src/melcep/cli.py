@@ -18,6 +18,7 @@ import argparse
 import csv
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -124,6 +125,20 @@ def _finite_float(value: str) -> float:
     return number
 
 
+def _int_at_least(minimum: int):
+    """argparse type of the count flags (1) and ``--seed`` (0): an integer of
+    at least ``minimum``."""
+    def parse(value: str) -> int:
+        try:
+            number = int(value)
+        except ValueError:
+            number = minimum - 1
+        if number < minimum:
+            raise argparse.ArgumentTypeError(f"expected an integer of at least {minimum}, got {value!r}")
+        return number
+    return parse
+
+
 # Config file key -> (RunConfig section, parser of the field's annotation), for
 # every section field but soft_tau, which only the library function croll95_soft
 # reads.  cutoff_q's None (a quarter of the quefrencies) has no spelling in a file.
@@ -146,6 +161,7 @@ def load_run_config(path=None, qc=None, eps=None) -> RunConfig:
     """Build the run configuration from an optional key=value file plus flag
     overrides (flags win)."""
     sections = {section.name: {} for section in fields(RunConfig)}
+    key_lines = {}
     if path is not None:
         try:
             text = Path(path).read_text(encoding="utf-8-sig")
@@ -160,6 +176,9 @@ def load_run_config(path=None, qc=None, eps=None) -> RunConfig:
             key, value = (part.strip() for part in line.split("=", 1))
             if key not in _CONFIG_KEYS:
                 raise UsageError(f"config line {lineno}: unknown key {key!r}")
+            if key in key_lines:
+                raise UsageError(f"config line {lineno}: key {key!r} already set on line {key_lines[key]}")
+            key_lines[key] = lineno
             section, conv = _CONFIG_KEYS[key]
             try:
                 sections[section][key] = conv(value)
@@ -173,6 +192,11 @@ def load_run_config(path=None, qc=None, eps=None) -> RunConfig:
         return RunConfig(**{f.name: replace(f.default, **sections[f.name]) for f in fields(RunConfig)})
     except ValueError as exc:
         raise UsageError(f"invalid configuration: {exc}") from exc
+
+
+# An utterance id names its output files in the output directory and is one
+# tab-separated field of errors.log.
+_UNSAFE_ID_CHAR = re.compile(r"[/\\\x00-\x1f\x7f-\x9f]")
 
 
 def read_manifest(path) -> list[ManifestEntry]:
@@ -201,13 +225,14 @@ def read_manifest(path) -> list[ManifestEntry]:
         cells = {name: (row.get(name) or "").strip() or None for name in MANIFEST_FIELDS}
         if cells["utterance_id"] is None or cells["ref_wav"] is None:
             raise UsageError(f"manifest line {lineno}: utterance_id and ref_wav are required")
+        if cells["utterance_id"] in (".", "..") or _UNSAFE_ID_CHAR.search(cells["utterance_id"]):
+            raise UsageError(f"manifest line {lineno}: utterance_id {cells['utterance_id']!r} must not be '.' or '..' "
+                             "or hold '/', '\\' or a control character")
         if cells["token_count"] is not None:
             try:
-                cells["token_count"] = int(cells["token_count"])
-            except ValueError:
-                cells["token_count"] = -1
-            if cells["token_count"] < 0:
-                raise UsageError(f"manifest line {lineno}: token_count must be a non-negative integer")
+                cells["token_count"] = _int_at_least(0)(cells["token_count"])
+            except argparse.ArgumentTypeError:
+                raise UsageError(f"manifest line {lineno}: token_count must be a non-negative integer") from None
         if cells["f0_syn"] is not None and cells["syn_wav"] is None:
             raise UsageError(f"manifest line {lineno}: f0_syn given without syn_wav")
         entries.append(ManifestEntry(**cells))
@@ -329,7 +354,6 @@ def _run_batch(worker, jobs, workers: int, log_dir: Path) -> tuple[list[tuple[tu
     """Run ``worker`` on each (key, payload) job, the key being the entry's
     errors.log fields with the utterance id last.  Prints and logs every
     failure; returns the (key, result) of each success and whether any failed."""
-    log_dir.mkdir(parents=True, exist_ok=True)
     done, failures = [], []
     for (key, _), (err, result) in zip(jobs, _run_pool(worker, [payload for _, payload in jobs], workers)):
         if err is None:
@@ -343,16 +367,24 @@ def _run_batch(worker, jobs, workers: int, log_dir: Path) -> tuple[list[tuple[tu
     return done, bool(failures)
 
 
+def _out_dir(path) -> Path:
+    """Make the output directory ``path`` before any entry runs; an unusable path is a usage error."""
+    try:
+        Path(path).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise UsageError(f"cannot make output directory: {exc}") from exc
+    return Path(path)
+
+
 def cmd_features(args, run: RunConfig) -> int:
-    out_dir = Path(args.out)
-    jobs = [((e.utterance_id,), (e, run, str(out_dir))) for e in read_manifest(args.manifest)]
-    _, failed = _run_batch(_features_worker, jobs, args.workers, out_dir)
+    jobs = [((e.utterance_id,), (e, run, args.out)) for e in read_manifest(args.manifest)]
+    _, failed = _run_batch(_features_worker, jobs, args.workers, _out_dir(args.out))
     return EXIT_PARTIAL if failed else EXIT_OK
 
 
 def cmd_compare(args, run: RunConfig) -> int:
-    out_dir = Path(args.out)
-    jobs = [((e.utterance_id,), (e, run, str(out_dir))) for e in read_manifest(args.manifest)]
+    jobs = [((e.utterance_id,), (e, run, args.out)) for e in read_manifest(args.manifest)]
+    out_dir = _out_dir(args.out)
     done, failed = _run_batch(_compare_worker, jobs, args.workers, out_dir)
     reports = [report for _, report in done]
     lines = ["measure,mean,std,count"]
@@ -366,29 +398,32 @@ def cmd_compare(args, run: RunConfig) -> int:
 def cmd_corpus_stats(args, run: RunConfig) -> int:
     manifests = (("a", read_manifest(args.manifest_a)), ("b", read_manifest(args.manifest_b)))
     jobs = [((label, e.utterance_id), (e, run)) for label, entries in manifests for e in entries]
-    done, failed = _run_batch(_stats_worker, jobs, args.workers, Path(args.out).parent)
-    corpora = {label: [record for (tag, _), record in done if tag == label] for label, _ in manifests}
-    if not all(corpora.values()):
+    out = Path(args.out)
+    log_dir = _out_dir(out.parent)
+    if out.is_dir():
+        raise UsageError(f"--out {args.out} is a directory, not a file")
+    done, failed = _run_batch(_stats_worker, jobs, args.workers, log_dir)
+    corpora = [[record for (tag, _), record in done if tag == label] for label, _ in manifests]
+    if not all(corpora):
         print("error: no usable entries in one of the manifests", file=sys.stderr)
         return EXIT_PARTIAL
 
-    summaries = [stats.summarize(corpus).measures for corpus in corpora.values()]
     lines = ["measure,mean_a,std_a,median_a,count_a,mean_b,std_b,median_b,count_b,p_value"]
     for name in stats.MEASURES:
-        if not all(name in summary for summary in summaries):
+        values = [stats.measure_values(corpus, name) for corpus in corpora]
+        summaries = [stats.summarize_values(v) for v in values]
+        if None in summaries:
             print(f"warning: measure {name} missing from a corpus; row omitted", file=sys.stderr)
             continue
-        _, p = stats.mann_whitney_u(*(stats.measure_values(corpus, name) for corpus in corpora.values()))
-        row = [name]
-        for summary in summaries:
-            m = summary[name]
-            row += [f"{m.mean:.6g}", f"{m.std:.6g}", f"{m.median:.6g}", str(m.count)]
-        lines.append(",".join(row + [f"{p:.6g}"]))
-    Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        _, p = stats.mann_whitney_u(*values)
+        cells = [f"{m.mean:.6g},{m.std:.6g},{m.median:.6g},{m.count}" for m in summaries]
+        lines.append(",".join([name, *cells, f"{p:.6g}"]))
+    out.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return EXIT_PARTIAL if failed else EXIT_OK
 
 
 def cmd_synthlab(args) -> int:
+    out_dir = _out_dir(args.out)
     series_fns = None
     if args.inject_fault:
         # negative control: a metric that grows under smoothing must trip the gate
@@ -399,8 +434,6 @@ def cmd_synthlab(args) -> int:
         seed=args.seed,
         series_fns=series_fns,
     )
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "monotonicity.csv").write_text(report.to_csv(), encoding="utf-8")
     prop_lines = []
     for res in report.results:
@@ -409,20 +442,6 @@ def cmd_synthlab(args) -> int:
         print(prop_lines[-1])
     (out_dir / "properties.txt").write_text("\n".join(prop_lines) + "\n", encoding="utf-8")
     return EXIT_OK if report.passed else EXIT_PROPERTY
-
-
-def _int_at_least(minimum: int):
-    """argparse type of the count flags (1) and ``--seed`` (0): an integer of
-    at least ``minimum``."""
-    def parse(value: str) -> int:
-        try:
-            number = int(value)
-        except ValueError:
-            number = minimum - 1
-        if number < minimum:
-            raise argparse.ArgumentTypeError(f"expected an integer of at least {minimum}, got {value!r}")
-        return number
-    return parse
 
 
 class _Parser(argparse.ArgumentParser):

@@ -12,13 +12,14 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, fields, make_dataclass
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
+from .audio import PreprocessConfig
 from .osmetrics import METRIC_NAMES, UtteranceMetrics
-from .spectral import LogMelSpectrogram
+from .spectral import LogMelSpectrogram, StftConfig
 
 _NORM_EPS = 1e-12
 # Elements in one row chunk of the l2 distance temporary (512 KB of
@@ -109,7 +110,7 @@ class UtteranceBundle:
             float(np.mean(voiced)) if voiced.size else None,
             float(np.std(voiced)) if voiced.size else None,
             self.token_count / self.duration_s if has_tokens else None,
-            *(self.metrics.means[name] for name in METRIC_NAMES),
+            *self.metrics.means.values(),
         )
         return dict(zip(MEASURES, values))
 
@@ -117,23 +118,19 @@ class UtteranceBundle:
 UtteranceDeltas = NamedTuple("UtteranceDeltas", [(f"delta_{name}", float | None) for name in MEASURES])
 
 
-def _report_json(report) -> str:
-    def round6(v):
-        return None if v is None else float(format(v, ".6g"))
-
-    return json.dumps({f.name: round6(getattr(report, f.name)) for f in fields(report)})
+# The mel distances, pitch metrics, metric-curve MAEs and deltas, in that order.
+_REPORT_FIELDS = (*MelDistances._fields, *PitchMetrics._fields, *(f"mae_{name}" for name in MetricCurveMae._fields),
+                  *UtteranceDeltas._fields)
 
 
-# The mel distances, pitch metrics, metric-curve MAEs and deltas, in that
-# order.  ``__module__`` names this module, so that reports pickle across the
-# worker pool.
-ComparisonReport = make_dataclass(
-    "ComparisonReport",
-    [*MelDistances._fields, *PitchMetrics._fields, *(f"mae_{name}" for name in MetricCurveMae._fields),
-     *UtteranceDeltas._fields],
-    namespace={"__module__": __name__, "to_json": _report_json,
-               "__doc__": "All paired scores for one reference/synthesis utterance pair; None marks missing."},
-)
+class ComparisonReport(NamedTuple("ComparisonReport", [(name, float | None) for name in _REPORT_FIELDS])):
+    """All paired scores for one reference/synthesis utterance pair; None marks missing."""
+
+    __slots__ = ()
+
+    def to_json(self) -> str:
+        """The fields in order as a JSON object, each number rounded to 6 significant digits."""
+        return json.dumps({name: None if v is None else float(format(v, ".6g")) for name, v in zip(self._fields, self)})
 
 
 def _pairwise_distance(a: np.ndarray, b: np.ndarray, distance: str, out: np.ndarray) -> None:
@@ -345,7 +342,7 @@ def build_report(
     return ComparisonReport(*dist, *pm, *mae, *utterance_deltas(ref_bundle, syn_bundle))
 
 
-def load_pitch_csv(path, hop: int = 256, sample_rate: int = 22050) -> PitchContour:
+def load_pitch_csv(path, hop: int = StftConfig.hop, sample_rate: int = PreprocessConfig.target_rate) -> PitchContour:
     """Read a pitch contour CSV with header ``time_s,f0_hz``.
 
     Every cell is a finite number, except that an f0 cell may be empty;

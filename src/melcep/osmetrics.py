@@ -16,7 +16,7 @@ Lower values of all four indicate stronger oversmoothing.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, make_dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,17 +55,15 @@ class MetricConfig:
         return qc
 
 
-def hqer_series(p, cfg: MetricConfig | None = None) -> np.ndarray:
+def hqer_series(p, cfg: MetricConfig = MetricConfig()) -> np.ndarray:
     """High-quefrency energy ratio per frame; every frame needs power above DC."""
-    cfg = cfg or MetricConfig()
     power = np.asarray(p, dtype=np.float64)
     qc = cfg.resolve_cutoff(power.shape[0])
     return power[qc:].sum(axis=0) / power[1:].sum(axis=0)
 
 
-def cslope_series(p, cfg: MetricConfig | None = None) -> np.ndarray:
+def cslope_series(p, cfg: MetricConfig = MetricConfig()) -> np.ndarray:
     """Least-squares slope of 10*log10(P + eps) against q over q = 1..Q-1."""
-    cfg = cfg or MetricConfig()
     power = np.asarray(p, dtype=np.float64)
     n_q = power.shape[0]
     if n_q < 3:
@@ -76,23 +74,22 @@ def cslope_series(p, cfg: MetricConfig | None = None) -> np.ndarray:
     return (qc[:, None] * (y - y.mean(axis=0, keepdims=True))).sum(axis=0) / np.square(qc).sum()
 
 
-def ccentroid_series(p, cfg: MetricConfig | None = None) -> np.ndarray:
+def ccentroid_series(p, cfg: MetricConfig = MetricConfig()) -> np.ndarray:
     """Energy-weighted mean quefrency per frame; every frame needs power above DC."""
     tail = np.asarray(p, dtype=np.float64)[1:]
     q = np.arange(1, tail.shape[0] + 1, dtype=np.float64)
     return (q[:, None] * tail).sum(axis=0) / tail.sum(axis=0)
 
 
-def croll95_series(p, cfg: MetricConfig | None = None) -> np.ndarray:
+def croll95_series(p, cfg: MetricConfig = MetricConfig()) -> np.ndarray:
     """Smallest integer q whose cumulative power fraction reaches the rolloff
     fraction; every frame needs power above DC."""
-    cfg = cfg or MetricConfig()
     tail = np.asarray(p, dtype=np.float64)[1:]
     frac = np.cumsum(tail, axis=0) / tail.sum(axis=0)
     return np.argmax(frac >= cfg.rolloff_fraction, axis=0) + 1
 
 
-def croll95_soft_series(p, cfg: MetricConfig | None = None) -> np.ndarray:
+def croll95_soft_series(p, cfg: MetricConfig = MetricConfig()) -> np.ndarray:
     """Soft-quantile rolloff surrogate; every frame needs power above DC.
 
     Weights each quefrency by softmax(-tau * |F(q) - fraction|) over
@@ -100,7 +97,6 @@ def croll95_soft_series(p, cfg: MetricConfig | None = None) -> np.ndarray:
     unweighted mean of q, large tau approaches the hard rolloff up to ties on
     the plateau where F has already reached 1.
     """
-    cfg = cfg or MetricConfig()
     tail = np.asarray(p, dtype=np.float64)[1:]
     frac = np.cumsum(tail, axis=0) / tail.sum(axis=0)
     q = np.arange(1, tail.shape[0] + 1, dtype=np.float64)
@@ -127,33 +123,35 @@ METRIC_LABELS = {
 }
 
 
-def _n_frames(self) -> int:
-    return self.frame_indices.size
+class UtteranceMetrics:
+    """Framewise metric series over the non-degenerate frames of an utterance:
+    ``frame_indices`` and one array per ``SERIES`` metric, named after it."""
 
+    def __init__(self, frame_indices: np.ndarray, **series: np.ndarray):
+        self.frame_indices = frame_indices
+        for name in METRIC_NAMES:
+            setattr(self, name, series[name])
 
-def _as_matrix(self) -> np.ndarray:
-    """Frames x metrics float matrix in METRIC_NAMES order, for curve alignment."""
-    return np.stack([getattr(self, name) for name in METRIC_NAMES], axis=1).astype(np.float64, copy=False)
+    @property
+    def n_frames(self) -> int:
+        return self.frame_indices.size
 
+    @property
+    def means(self) -> dict[str, float]:
+        """Each metric's utterance mean, from the series as they are now."""
+        return {name: float(np.mean(getattr(self, name))) for name in METRIC_NAMES}
 
-def _to_csv(self, path) -> None:
-    columns = [self.frame_indices] + [getattr(self, name) for name in METRIC_NAMES]
-    # integer columns (frame index, rolloff bin) are written as integers
-    row = ",".join("%d" if column.dtype.kind in "iu" else "%.6g" for column in columns) + "\n"
-    values = itertools.chain.from_iterable(zip(*(column.tolist() for column in columns)))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(("frame_index",) + METRIC_NAMES) + "\n" + row * self.n_frames % tuple(values))
+    def as_matrix(self) -> np.ndarray:
+        """Frames x metrics float matrix in METRIC_NAMES order, for curve alignment."""
+        return np.stack([getattr(self, name) for name in METRIC_NAMES], axis=1).astype(np.float64, copy=False)
 
-
-# ``__module__`` names this module, as a class statement would, so that metrics pickle.
-UtteranceMetrics = make_dataclass(
-    "UtteranceMetrics",
-    [("frame_indices", np.ndarray), *((name, np.ndarray) for name in METRIC_NAMES),
-     ("means", dict, field(default_factory=dict))],
-    namespace={"__module__": __name__, "n_frames": property(_n_frames), "as_matrix": _as_matrix, "to_csv": _to_csv,
-               "__doc__": "Framewise metric series over the non-degenerate frames of an utterance: "
-                          "one array per ``SERIES`` metric, and each metric's utterance mean."},
-)
+    def to_csv(self, path) -> None:
+        columns = [self.frame_indices] + [getattr(self, name) for name in METRIC_NAMES]
+        # integer columns (frame index, rolloff bin) are written as integers
+        row = ",".join("%d" if column.dtype.kind in "iu" else "%.6g" for column in columns) + "\n"
+        values = itertools.chain.from_iterable(zip(*(column.tolist() for column in columns)))
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(",".join(("frame_index",) + METRIC_NAMES) + "\n" + row * self.n_frames % tuple(values))
 
 
 def usable_frames(qp: QuefrencyPower) -> np.ndarray:
@@ -168,33 +166,30 @@ def _scalar(series_fn, p, cfg):
     return series_fn(power, cfg)[0].item()
 
 
-def hqer(p, cfg: MetricConfig | None = None) -> float:
+def hqer(p, cfg: MetricConfig = MetricConfig()) -> float:
     return _scalar(hqer_series, p, cfg)
 
 
-def cslope(p, cfg: MetricConfig | None = None) -> float:
+def cslope(p, cfg: MetricConfig = MetricConfig()) -> float:
     return _scalar(cslope_series, p, cfg)
 
 
-def ccentroid(p, cfg: MetricConfig | None = None) -> float:
+def ccentroid(p, cfg: MetricConfig = MetricConfig()) -> float:
     return _scalar(ccentroid_series, p, cfg)
 
 
-def croll95(p, cfg: MetricConfig | None = None) -> int:
+def croll95(p, cfg: MetricConfig = MetricConfig()) -> int:
     return _scalar(croll95_series, p, cfg)
 
 
-def croll95_soft(p, cfg: MetricConfig | None = None) -> float:
+def croll95_soft(p, cfg: MetricConfig = MetricConfig()) -> float:
     return _scalar(croll95_soft_series, p, cfg)
 
 
-def utterance_metrics(p: QuefrencyPower, cfg: MetricConfig | None = None) -> UtteranceMetrics:
-    """Framewise series over the ``usable_frames``, plus their utterance means."""
-    cfg = cfg or MetricConfig()
+def utterance_metrics(p: QuefrencyPower, cfg: MetricConfig = MetricConfig()) -> UtteranceMetrics:
+    """Framewise series over the ``usable_frames``."""
     keep = usable_frames(p)
     if not keep.any():
         raise DegenerateFrameError("all frames degenerate")
     power = p.power[:, keep]
-    um = UtteranceMetrics(frame_indices=np.flatnonzero(keep), **{name: fn(power, cfg) for name, fn in SERIES.items()})
-    um.means.update((name, float(np.mean(getattr(um, name)))) for name in METRIC_NAMES)
-    return um
+    return UtteranceMetrics(np.flatnonzero(keep), **{name: fn(power, cfg) for name, fn in SERIES.items()})

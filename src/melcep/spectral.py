@@ -110,7 +110,7 @@ def _frames(w: Waveform, cfg: StftConfig) -> np.ndarray:
     return np.lib.stride_tricks.sliding_window_view(xp, cfg.n_fft)[:: cfg.hop]
 
 
-def stft(w: Waveform, cfg: StftConfig | None = None) -> np.ndarray:
+def stft(w: Waveform, cfg: StftConfig = StftConfig()) -> np.ndarray:
     """Complex STFT, bins x frames, with K = n_fft/2 + 1 bins.
 
     The signal is reflection-padded by (n_fft - hop)/2 samples on each side
@@ -118,7 +118,6 @@ def stft(w: Waveform, cfg: StftConfig | None = None) -> np.ndarray:
     multiplied by a periodic Hann window before the real-input FFT.  The
     frame count is (len + 2*pad - n_fft)//hop + 1.
     """
-    cfg = cfg or StftConfig()
     return np.fft.rfft(_frames(w, cfg) * _stft_window(cfg), axis=1).T
 
 
@@ -169,11 +168,7 @@ def mel_filterbank(cfg: MelConfig, sample_rate: int, n_fft: int) -> np.ndarray:
 _cached_filterbank = functools.lru_cache(maxsize=8)(mel_filterbank)
 
 
-def log_mel(
-    w: Waveform,
-    stft_cfg: StftConfig | None = None,
-    mel_cfg: MelConfig | None = None,
-) -> LogMelSpectrogram:
+def log_mel(w: Waveform, stft_cfg: StftConfig = StftConfig(), mel_cfg: MelConfig = MelConfig()) -> LogMelSpectrogram:
     """Log-mel spectrogram: ln(max(Mel @ |STFT|, clamp_floor)).
 
     The STFT runs _BLOCK_FRAMES frames at a time, so no windowed or complex
@@ -183,8 +178,6 @@ def log_mel(
     and strides ``np.abs(stft(w))`` has, so the projection is the same
     matrix product.
     """
-    stft_cfg = stft_cfg or StftConfig()
-    mel_cfg = mel_cfg or MelConfig()
     frames = _frames(w, stft_cfg)
     window = _stft_window(stft_cfg)
     mag = np.empty((frames.shape[0], stft_cfg.n_fft // 2 + 1))

@@ -10,7 +10,8 @@ Mann-Whitney U test.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, make_dataclass
+from collections import namedtuple
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,13 +23,8 @@ MEASURES = ("duration_s", "phonemes_per_utterance", "spr", "mu_f0", "sigma_f0", 
 # Largest combined sample size handled by exact enumeration (untied samples).
 EXACT_MAX_N = 12
 
-# ``__module__`` names this module, so that records pickle across the worker pool.
-UtteranceStats = make_dataclass(
-    "UtteranceStats",
-    [("utterance_id", str), *((name, float | None, None) for name in MEASURES)],
-    namespace={"__module__": __name__,
-               "__doc__": "Per-utterance measures entering a corpus summary; None marks missing."},
-)
+# Per-utterance measures entering a corpus summary; None marks missing.
+UtteranceStats = namedtuple("UtteranceStats", ("utterance_id", *MEASURES), defaults=(None,) * len(MEASURES))
 
 
 @dataclass
@@ -79,12 +75,8 @@ def summarize(corpus: list[UtteranceStats]) -> CorpusSummary:
     """Per-measure ``summarize_values`` over the utterances that have the measure."""
     if not corpus:
         raise ValueError("empty corpus")
-    summary = CorpusSummary()
-    for name in MEASURES:
-        measure = summarize_values(measure_values(corpus, name))
-        if measure is not None:
-            summary.measures[name] = measure
-    return summary
+    measures = {name: summarize_values(measure_values(corpus, name)) for name in MEASURES}
+    return CorpusSummary({name: m for name, m in measures.items() if m is not None})
 
 
 def _midranks(a: np.ndarray) -> np.ndarray:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .cepstral import mel_cepstrogram, quefrency_power
 from .osmetrics import SERIES, MetricConfig, usable_frames
-from .spectral import LogMelSpectrogram
+from .spectral import LogMelSpectrogram, MelConfig
 
 KINDS = ("mel_moving_average", "mel_gaussian_blur", "variance_shrink")
 DEFAULT_SEED = 0xA5C
@@ -46,7 +46,7 @@ MONOTONICITY_TOLERANCES = {
 # stay exactly scale-invariant and keep the strict bounds.
 SHRINK_CSLOPE_TOLERANCE = 1e-3
 
-_LOG_FLOOR = float(np.log(1e-5))
+_LOG_FLOOR = float(np.log(MelConfig.clamp_floor))
 
 
 @dataclass(frozen=True)
@@ -113,7 +113,7 @@ def synth_harmonic_spectrogram(
     n_frames: int,
     period_bins: float,
     amplitude: float,
-    n_mels: int = 80,
+    n_mels: int = MelConfig.n_mels,
     base_level: float = -6.0,
 ) -> LogMelSpectrogram:
     """Frames of sinusoidal ripple across mel bins.
@@ -131,7 +131,7 @@ def synth_harmonic_spectrogram(
     return LogMelSpectrogram(np.maximum(values, _LOG_FLOOR))
 
 
-def noise_spectrogram(rng: np.random.Generator, n_frames: int = 30, n_mels: int = 80) -> LogMelSpectrogram:
+def noise_spectrogram(rng: np.random.Generator, n_frames: int = 30, n_mels: int = MelConfig.n_mels) -> LogMelSpectrogram:
     """White-noise log-mel spectrogram clamped at the log floor."""
     values = rng.normal(loc=-6.0, scale=1.2, size=(n_mels, n_frames))
     return LogMelSpectrogram(np.maximum(values, _LOG_FLOOR))

@@ -1,11 +1,12 @@
 import csv
+import functools
 import json
 import multiprocessing
 import os
 import shutil
 import subprocess
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -392,6 +393,18 @@ def test_readme_lists_the_config_keys():
     assert [key.strip() for key in listed.split(",")] == list(cli._CONFIG_KEYS)
 
 
+def test_config_key_set_twice_is_usage_error(corpus, tmp_path, capsys):
+    """The second value of a repeated key silently won."""
+    config = tmp_path / "cfg.txt"
+    config.write_text("hop = 256\n# comment\nn_mels = 80\nhop = 128\n")
+    with pytest.raises(UsageError, match=r"^config line 4: key 'hop' already set on line 1$"):
+        load_run_config(config)
+    out = tmp_path / "out"
+    assert main(["features", "--manifest", str(corpus[1]), "--out", str(out), "--config", str(config)]) == 1
+    assert "already set on line 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_load_run_config_rejects_unknown_key(tmp_path):
     config = tmp_path / "cfg.txt"
     config.write_text("mystery_flag = 1\n")
@@ -413,6 +426,67 @@ def test_read_manifest_validation(tmp_path):
     manifest.write_text("utterance_id,ref_wav,ref_wav\nu1,a.wav,b.wav\n")  # the last cell won
     with pytest.raises(UsageError, match=r"columns named more than once: \['ref_wav'\]"):
         read_manifest(manifest)
+
+
+def _batch_argv(command, manifest, out):
+    """``command`` on ``manifest`` (corpus-stats: as manifest a and b), writing under ``out``."""
+    if command == "corpus-stats":
+        return [command, "--manifest-a", str(manifest), "--manifest-b", str(manifest), "--out", str(out / "stats.csv")]
+    return [command, "--manifest", str(manifest), "--out", str(out)]
+
+
+@pytest.mark.parametrize("command", ["features", "compare", "corpus-stats"])
+@pytest.mark.parametrize("uid", ["../outside", "{root}/escaped", ".", "..", "a\\b", "a\tb", "a\x1bb"],
+                         ids=["dotdot-prefix", "absolute", "dot", "dotdot", "backslash", "tab", "escape"])
+def test_utterance_id_that_is_not_a_file_name_is_usage_error(corpus, tmp_path, monkeypatch, capsys, command, uid):
+    """Output files are named ``<out>/<utterance_id>.<ext>``: an id holding a
+    path wrote outside ``--out``, and a tab split its errors.log line."""
+    uid = uid.format(root=tmp_path)
+    wav = corpus[2][0]["ref_wav"]
+    manifest = tmp_path / "m.csv"
+    _write_manifest(manifest, [{"utterance_id": "ok", "ref_wav": wav, "syn_wav": wav},
+                               {"utterance_id": uid, "ref_wav": wav, "syn_wav": wav}],
+                    fields=("utterance_id", "ref_wav", "syn_wav"))
+    loaded = []
+    monkeypatch.setattr(cli, "load_wav", loaded.append)
+    out = tmp_path / "out" / "sub"
+    assert main(_batch_argv(command, manifest, out)) == 1
+    assert f"error: manifest line 3: utterance_id {uid!r} must not be" in capsys.readouterr().err
+    assert loaded == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.csv"]
+
+
+def test_utterance_id_with_dots_inside_is_accepted(tmp_path):
+    manifest = tmp_path / "m.csv"
+    manifest.write_text("utterance_id,ref_wav\n..a.b..,a.wav\nspk 1 utt 2,b.wav\n")
+    assert [e.utterance_id for e in read_manifest(manifest)] == ["..a.b..", "spk 1 utt 2"]
+
+
+@pytest.mark.parametrize("command, out_kind", [
+    ("features", "file"), ("features", "under-file"), ("compare", "file"), ("compare", "under-file"),
+    ("corpus-stats", "directory"), ("corpus-stats", "under-file"), ("synthlab", "file"),
+])
+def test_unusable_out_is_usage_error_before_any_work(corpus, tmp_path, monkeypatch, capsys, command, out_kind):
+    """An --out that cannot be made, or a corpus-stats --out that is a
+    directory, raised a traceback, for corpus-stats after the whole batch."""
+    blocker = tmp_path / "blocker"
+    blocker.write_text("keep\n")
+    (tmp_path / "dir").mkdir()
+    out = {"file": blocker, "under-file": blocker / "sub", "directory": tmp_path / "dir"}[out_kind]
+    loaded = []
+    monkeypatch.setattr(cli, "load_wav", loaded.append)
+    monkeypatch.setattr(cli.synthlab, "run_monotonicity_suite", loaded.append)
+    m = str(corpus[1])
+    argv = {"features": ["features", "--manifest", m, "--out", str(out)],
+            "compare": ["compare", "--manifest", m, "--out", str(out)],
+            "corpus-stats": ["corpus-stats", "--manifest-a", m, "--manifest-b", m,
+                             "--out", str(out if out_kind == "directory" else out / "stats.csv")],
+            "synthlab": ["synthlab", "--out", str(out)]}[command]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert loaded == []
+    assert blocker.read_text() == "keep\n" and list((tmp_path / "dir").iterdir()) == []
 
 
 def test_negative_token_count_is_usage_error(corpus, tmp_path, capsys):
@@ -575,6 +649,16 @@ def test_batch_parallel_matches_serial(corpus, tmp_path, capsys, command):
     assert set(outputs[0]) == _expected_outputs(command, rows)
     assert outputs[0] == outputs[1]
     assert "utt01x" in stderr[0] and stderr[0] == stderr[1]
+
+
+@pytest.mark.parametrize("command", ["compare", "corpus-stats"])
+def test_batch_parallel_under_spawn_matches_serial(corpus, tmp_path, capsys, monkeypatch, command):
+    """Under the spawn start method (macOS, Windows) the workers import the
+    payload and result records by name, so reports and stats records must
+    pickle by reference to their module."""
+    spawn_pool = functools.partial(ProcessPoolExecutor, mp_context=multiprocessing.get_context("spawn"))
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", spawn_pool)
+    test_batch_parallel_matches_serial(corpus, tmp_path, capsys, command)
 
 
 def _many_entries(corpus, count):

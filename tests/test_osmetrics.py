@@ -165,6 +165,17 @@ def test_utterance_metrics_single_frame(rng):
         assert um.means[name] == pytest.approx(float(getattr(um, name)[0]))
 
 
+def test_utterance_metrics_means_follow_the_series(rng):
+    """The means are computed from the series as they are, so replacing a
+    series moves its mean; a stored dict kept the old values."""
+    um = utterance_metrics(_qp_from_frames([speechy_frame(rng) for _ in range(5)]), CFG)
+    um.hqer = um.hqer * 2.0
+    um.croll95 = um.croll95 + 3
+    for name in ("hqer", "cslope", "ccentroid", "croll95"):
+        assert um.means[name] == float(np.mean(getattr(um, name)))
+    assert list(um.means) == ["hqer", "cslope", "ccentroid", "croll95"]
+
+
 def test_utterance_metrics_duplicated_frame_zero_std(rng):
     frame = speechy_frame(rng)
     um = utterance_metrics(_qp_from_frames([frame, frame, frame]), CFG)
