@@ -10,7 +10,7 @@ from __future__ import annotations
 import functools
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -44,10 +44,16 @@ class SilentSignalError(ValueError):
 
 @dataclass
 class Waveform:
-    """Mono audio samples in [-1, 1] with their sample rate."""
+    """Mono audio samples in [-1, 1] with their sample rate.
+
+    ``removed`` holds the (start, length) of each stretch the silence cap
+    took out, in samples of the signal before it and in order; ``preprocess``
+    sets it, so its output's samples can be traced back to that signal.
+    """
 
     samples: np.ndarray
     sample_rate: int
+    removed: np.ndarray = field(default_factory=lambda: np.zeros((0, 2), dtype=np.int64))
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=np.float64)
@@ -62,6 +68,18 @@ class Waveform:
     @property
     def duration_s(self) -> float:
         return self.samples.size / self.sample_rate
+
+    @property
+    def source_length(self) -> int:
+        """Sample count of the signal before the silence cap."""
+        return self.samples.size + int(self.removed[:, 1].sum())
+
+    def source_positions(self, positions: np.ndarray) -> np.ndarray:
+        """The positions in the signal before the silence cap of the sample positions ``positions``."""
+        starts, lengths = self.removed.T
+        shifts = np.concatenate(([0], np.cumsum(lengths)))
+        # each removed stretch sat before this signal's sample starts - shifts[:-1]
+        return positions + shifts[np.searchsorted(starts - shifts[:-1], positions, side="right")]
 
 
 @dataclass(frozen=True)
@@ -201,23 +219,27 @@ def _silent_runs(mask: np.ndarray):
     yield from zip(starts, ends)
 
 
-def _cap_silences(x: np.ndarray, mask: np.ndarray, max_len: int, cap: bool) -> np.ndarray:
+def _cap_silences(x: np.ndarray, mask: np.ndarray, max_len: int, cap: bool) -> tuple[np.ndarray, np.ndarray]:
+    """``x`` with its silence runs longer than ``max_len`` capped to it (or
+    deleted), and the (start, length) of each stretch taken out, in order."""
     keep = np.ones(x.size, dtype=bool)
+    removed = []
     for start, end in _silent_runs(mask):
-        run = end - start
-        if run <= max_len:
+        if end - start <= max_len:
             continue
         if not cap:
-            keep[start:end] = False
+            cut = start, end
         elif start == 0:
             # leading run: keep the tail adjacent to speech
-            keep[start : end - max_len] = False
+            cut = start, end - max_len
         elif end == x.size:
-            keep[start + max_len : end] = False
+            cut = start + max_len, end
         else:
             head = max_len // 2
-            keep[start + head : end - (max_len - head)] = False
-    return x[keep]
+            cut = start + head, end - (max_len - head)
+        keep[cut[0] : cut[1]] = False
+        removed.append((cut[0], cut[1] - cut[0]))
+    return x[keep], np.array(removed, dtype=np.int64).reshape(-1, 2)
 
 
 @functools.lru_cache(maxsize=8)
@@ -373,6 +395,8 @@ def preprocess(w: Waveform, cfg: PreprocessConfig = PreprocessConfig()) -> Wavef
     ``cfg.target_level_dbfs`` RMS measured over non-silent samples.  If the
     high-pass leaves nothing above the gate (e.g. a pure stopband tone), the
     normalization stage is skipped and the attenuated signal is returned.
+    The result's ``removed`` lists what the silence cap took out of the
+    resampled signal.
 
     Raises SilentSignalError when the input has no content above the gate.
     """
@@ -385,7 +409,7 @@ def preprocess(w: Waveform, cfg: PreprocessConfig = PreprocessConfig()) -> Wavef
     if mask.all():
         raise SilentSignalError("signal entirely silent after trimming")
     max_len = int(round(cfg.silence_trim_ms * rate / 1000.0))
-    x = _cap_silences(x, mask, max_len, cfg.cap_long_silence)
+    x, removed = _cap_silences(x, mask, max_len, cfg.cap_long_silence)
 
     x = _highpass(x, rate, cfg.highpass_hz)
 
@@ -396,4 +420,4 @@ def preprocess(w: Waveform, cfg: PreprocessConfig = PreprocessConfig()) -> Wavef
             x = x * 10.0 ** (gain_db / 20.0)
     if not np.isfinite(x).all():
         raise ValueError("preprocessing produced non-finite samples")
-    return Waveform(x, rate)
+    return Waveform(x, rate, removed)

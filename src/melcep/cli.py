@@ -23,6 +23,8 @@ import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
+import numpy as np
+
 from . import compare as cmp
 from . import spectral, stats, synthlab
 from .audio import PreprocessConfig, load_wav, preprocess
@@ -246,18 +248,32 @@ def read_manifest(path) -> list[ManifestEntry]:
 
 def _analyze(entry: ManifestEntry, wav_path, f0_path, run: RunConfig):
     """The per-wav pipeline of every subcommand: preprocess, log-mel,
-    utterance metrics and, given a pitch CSV, the pitch contour."""
+    utterance metrics and, given a pitch CSV, the pitch contour.
+
+    The CSV's row k is the frame of samples k*hop to (k+1)*hop of the
+    resampled wav, before the silence cap; a CSV whose row count is more
+    than one off that wav's frame count fails the entry.  Each log-mel frame
+    takes the row under the middle of its hop, traced back through the cap.
+    """
     wave = preprocess(load_wav(wav_path), run.preprocess)
     mel = log_mel(wave, run.stft, run.mel)
     metrics = utterance_metrics(quefrency_power(mel_cepstrogram(mel)), run.metric)
-    pitch = None
+    pitch = frame_pitch = None
     if f0_path is not None:
-        pitch = cmp.load_pitch_csv(f0_path, hop=run.stft.hop, sample_rate=run.preprocess.target_rate)
+        hop = run.stft.hop
+        pitch = cmp.load_pitch_csv(f0_path, hop=hop, sample_rate=run.preprocess.target_rate)
+        n_rows, n_frames = pitch.f0.size, wave.source_length // hop
+        if abs(n_rows - n_frames) > 1:
+            raise ValueError(f"pitch CSV {f0_path!s} has {n_rows} rows, but its wav has {n_frames} frames "
+                             f"of {hop} samples at {run.preprocess.target_rate} Hz")
+        rows = np.minimum(wave.source_positions(np.arange(mel.n_frames) * hop + hop // 2) // hop, n_rows - 1)
+        frame_pitch = cmp.PitchContour(pitch.f0[rows], pitch.voiced[rows])
     bundle = cmp.UtteranceBundle(
         duration_s=wave.duration_s,
         metrics=metrics,
         pitch=pitch,
         token_count=entry.token_count,
+        frame_pitch=frame_pitch,
     )
     return mel, bundle
 
@@ -361,9 +377,13 @@ def _run_batch(worker, jobs, workers: int, log_dir: Path) -> tuple[list[tuple[tu
         else:
             failures.append(key + (err,))
             print(f"error: {key[-1]}: {err}", file=sys.stderr)
+    # each run owns errors.log: an earlier run's must not outlive a clean one
+    log = log_dir / "errors.log"
     if failures:
         lines = ["\t".join(failure) for failure in sorted(failures)]
-        (log_dir / "errors.log").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        log.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    else:
+        log.unlink(missing_ok=True)
     return done, bool(failures)
 
 

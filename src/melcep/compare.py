@@ -1,10 +1,10 @@
 """Pairwise reference-vs-synthesis scoring.
 
-Sequences are aligned with dynamic time warping before any distance is
-computed: spectrograms under a framewise cosine distance, pitch contours and
-metric curves under the L2 distance.  Utterance-level deltas (synthesis minus
-reference) cover pitch statistics, speaking rate, and the oversmoothing
-metrics.
+Each pair is aligned once, by dynamic time warping of the log-mel frames
+under a framewise cosine distance.  The mel distances, the pitch scores and
+the metric-curve errors are all taken along that path.  Utterance-level
+deltas (synthesis minus reference) cover pitch statistics, speaking rate,
+and the oversmoothing metrics.
 """
 
 from __future__ import annotations
@@ -76,13 +76,17 @@ class PitchMetrics(NamedTuple):
     vuv_error: float
 
 
-class MelDistances(NamedTuple):
-    l1: float
-    l2: float
-    sconv: float
+class MelDistances(NamedTuple("MelDistances", [("l1", float), ("l2", float), ("sconv", float)])):
+    """The aligned mel distances; ``path``, not a tuple field, is the cosine
+    alignment they were taken along, which the other aligned scores reuse."""
+
+    def __new__(cls, l1: float, l2: float, sconv: float, path: DtwPath | None = None):
+        self = super().__new__(cls, l1, l2, sconv)
+        self.path = path
+        return self
 
 
-MetricCurveMae = NamedTuple("MetricCurveMae", [(name, float) for name in METRIC_NAMES])
+MetricCurveMae = NamedTuple("MetricCurveMae", [(name, float | None) for name in METRIC_NAMES])
 
 # The utterance-level measures of UtteranceBundle.measures(), in report order.
 MEASURES = ("mu_f0", "sigma_f0", "spr", *METRIC_NAMES)
@@ -90,12 +94,22 @@ MEASURES = ("mu_f0", "sigma_f0", "spr", *METRIC_NAMES)
 
 @dataclass
 class UtteranceBundle:
-    """One utterance's measurements: the per-wav record of every subcommand."""
+    """One utterance's measurements: the per-wav record of every subcommand.
+
+    ``pitch`` is the contour as read, which the utterance measures use.
+    ``frame_pitch`` is the same contour with one value per log-mel frame,
+    which the aligned scores use; it defaults to ``pitch``.
+    """
 
     duration_s: float
     metrics: UtteranceMetrics
     pitch: PitchContour | None = None
     token_count: int | None = None
+    frame_pitch: PitchContour | None = None
+
+    def __post_init__(self):
+        if self.frame_pitch is None:
+            self.frame_pitch = self.pitch
 
     def measures(self) -> dict[str, float | None]:
         """Utterance-level measures, None where the pitch or token count is missing.
@@ -261,7 +275,7 @@ def mel_distances(ref: LogMelSpectrogram, syn: LogMelSpectrogram) -> MelDistance
     Alignment uses the cosine distance; the distances are then taken over the
     aligned band-by-step matrices.  Spectral convergence is the Frobenius
     norm of the aligned difference over the Frobenius norm of the aligned
-    reference.
+    reference.  The result's ``path`` is the alignment.
     """
     if ref.n_bands != syn.n_bands:
         raise ValueError("band count mismatch")
@@ -273,21 +287,30 @@ def mel_distances(ref: LogMelSpectrogram, syn: LogMelSpectrogram) -> MelDistance
         l1=float(np.mean(np.abs(diff))),
         l2=float(np.mean(np.square(diff))),
         sconv=float(np.linalg.norm(diff) / np.linalg.norm(r)),
+        path=path,
     )
 
 
-def pitch_metrics(ref: PitchContour, syn: PitchContour) -> PitchMetrics:
-    """RMSE, Pearson r, and V/UV error rate over DTW-aligned pitch contours.
+def pitch_metrics(ref: PitchContour, syn: PitchContour, path: DtwPath | None = None) -> PitchMetrics:
+    """RMSE, Pearson r, and V/UV error rate over the frame pairs of ``path``.
 
-    Contours are aligned on raw Hz with unvoiced frames substituted by zero
-    for the alignment only.  RMSE and r are computed over aligned pairs
-    voiced on both sides; the V/UV error is the fraction of aligned pairs
-    whose voicing flags disagree.  With fewer than two both-voiced pairs (or
-    a constant contour) r is reported as missing; with none, RMSE too.
+    ``path`` runs from the first to the last frame of both contours (in
+    ``build_report``, the cosine path of their log-mel frames); without one,
+    contours of equal length are paired frame by frame.  RMSE and r are
+    computed over pairs voiced on both sides; the V/UV error is the fraction
+    of pairs whose voicing flags disagree.  With fewer than two both-voiced
+    pairs (or a constant contour) r is reported as missing; with none, RMSE
+    too.
     """
-    fa = np.where(ref.voiced, ref.f0, 0.0)
-    fb = np.where(syn.voiced, syn.f0, 0.0)
-    path, _ = dtw_align(fa[:, None], fb[:, None], distance="l2")
+    n1, n2 = ref.f0.size, syn.f0.size
+    if path is None:
+        if n1 != n2:
+            raise ValueError(f"contours of {n1} and {n2} frames need a path to be paired")
+        frames = np.arange(n1)
+        path = DtwPath(np.stack([frames, frames], axis=1))
+    if tuple(path.pairs[-1]) != (n1 - 1, n2 - 1):
+        raise ValueError(f"the path ends at {tuple(path.pairs[-1].tolist())}, not at the contours' last frames "
+                         f"({n1 - 1}, {n2 - 1})")
     vr = ref.voiced[path.i]
     vs = syn.voiced[path.j]
     vuv_error = float(np.mean(vr != vs))
@@ -307,12 +330,29 @@ def pitch_metrics(ref: PitchContour, syn: PitchContour) -> PitchMetrics:
     return PitchMetrics(rmse, r, vuv_error)
 
 
-def metric_curve_mae(ref: UtteranceMetrics, syn: UtteranceMetrics) -> MetricCurveMae:
-    """Framewise MAE of each metric curve after DTW alignment (L2 distance)."""
-    a = ref.as_matrix()
-    b = syn.as_matrix()
-    path, _ = dtw_align(a, b, distance="l2")
-    mae = np.mean(np.abs(a[path.i] - b[path.j]), axis=0)
+def _series_rows(metrics: UtteranceMetrics, frames: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each frame's row in the series of ``metrics``, and whether it has one (the frame is usable)."""
+    rows = np.minimum(np.searchsorted(metrics.frame_indices, frames), metrics.n_frames - 1)
+    return rows, metrics.frame_indices[rows] == frames
+
+
+def metric_curve_mae(ref: UtteranceMetrics, syn: UtteranceMetrics, path: DtwPath | None = None) -> MetricCurveMae:
+    """Mean absolute difference of each metric curve over the frame pairs of
+    ``path`` whose two frames are both usable (in ``frame_indices``).
+
+    ``path`` pairs the frames of the spectrograms the metrics were taken from
+    (in ``build_report``, their cosine path); without one, frame k is paired
+    with frame k.  Every field is None when no pair is usable on both sides.
+    """
+    if path is None:
+        frames = np.union1d(ref.frame_indices, syn.frame_indices)
+        path = DtwPath(np.stack([frames, frames], axis=1))
+    i, usable_i = _series_rows(ref, path.i)
+    j, usable_j = _series_rows(syn, path.j)
+    both = usable_i & usable_j
+    if not both.any():
+        return MetricCurveMae(*[None] * len(METRIC_NAMES))
+    mae = np.mean(np.abs(ref.as_matrix()[i[both]] - syn.as_matrix()[j[both]]), axis=0)
     return MetricCurveMae(*(float(v) for v in mae))
 
 
@@ -332,13 +372,18 @@ def build_report(
     ref_bundle: UtteranceBundle,
     syn_bundle: UtteranceBundle,
 ) -> ComparisonReport:
-    """Assemble the full comparison report for one utterance pair."""
+    """Assemble the full comparison report for one utterance pair.
+
+    The pair is aligned once, in ``mel_distances``; the pitch scores (over
+    each bundle's ``frame_pitch``) and the metric-curve errors are taken
+    along that path.
+    """
     dist = mel_distances(ref_mel, syn_mel)
-    if ref_bundle.pitch is not None and syn_bundle.pitch is not None:
-        pm = pitch_metrics(ref_bundle.pitch, syn_bundle.pitch)
+    if ref_bundle.frame_pitch is not None and syn_bundle.frame_pitch is not None:
+        pm = pitch_metrics(ref_bundle.frame_pitch, syn_bundle.frame_pitch, dist.path)
     else:
         pm = PitchMetrics(None, None, None)
-    mae = metric_curve_mae(ref_bundle.metrics, syn_bundle.metrics)
+    mae = metric_curve_mae(ref_bundle.metrics, syn_bundle.metrics, dist.path)
     return ComparisonReport(*dist, *pm, *mae, *utterance_deltas(ref_bundle, syn_bundle))
 
 

@@ -125,6 +125,35 @@ def test_preprocess_remove_long_silence_entirely():
     assert internal == [] or max(e - s for s, e in internal) < 0.080
 
 
+@pytest.mark.parametrize("cap", [True, False], ids=["cap", "delete"])
+def test_cap_silences_records_what_it_removed(cap):
+    """Every kept sample traces back to its place in the signal before the cap."""
+    mask = np.zeros(30000, dtype=bool)
+    mask[:6000] = mask[9000:9500] = mask[12000:20000] = mask[25000:] = True  # leading, short, interior, trailing
+    x = np.arange(mask.size, dtype=np.float64)
+    y, removed = audio._cap_silences(x, mask, 4410, cap)
+    if cap:
+        assert removed.tolist() == [[0, 1590], [14205, 3590], [29410, 590]]
+    else:
+        assert removed.tolist() == [[0, 6000], [12000, 8000], [25000, 5000]]
+    w = Waveform(y, SR, removed)
+    assert w.source_length == x.size
+    assert np.array_equal(x[w.source_positions(np.arange(y.size))], y)
+
+
+def test_preprocess_reports_the_capped_pause():
+    x = np.concatenate([tone(440, 0.5, -16), np.zeros(SR), tone(523, 0.5, -16)])
+    out = preprocess(Waveform(x, SR))
+    assert out.source_length == x.size
+    ((start, length),) = out.removed.tolist()
+    # the gate leaves 1 to 3 of its 220-sample hops of the pause's edges ungated; the cap keeps 200 ms
+    assert SR // 2 + 2205 <= start <= SR // 2 + 2205 + 3 * 220
+    assert SR - 4410 - 3 * 220 <= length <= SR - 4410
+    assert out.samples.size == x.size - length
+    plain = Waveform(x, SR)
+    assert plain.source_length == x.size and np.array_equal(plain.source_positions(np.arange(5)), np.arange(5))
+
+
 def test_preprocess_entirely_silent_raises():
     with pytest.raises(SilentSignalError):
         preprocess(Waveform(np.zeros(SR), SR))

@@ -47,9 +47,11 @@ def corpus(tmp_path_factory):
     for k in range(3):
         utt = f"utt{k:02d}"
         wav = root / f"{utt}.wav"
-        write_wav_bytes(wav, speechlike(rng, 0.6 + 0.15 * k), SR, "float32")
+        samples = speechlike(rng, 0.6 + 0.15 * k)
+        write_wav_bytes(wav, samples, SR, "float32")
         f0 = root / f"{utt}.f0.csv"
-        contour = 115.0 + 8.0 * np.sin(np.arange(50) / 6.0 + k)
+        # one row per 256-sample frame of the wav
+        contour = 115.0 + 8.0 * np.sin(np.arange(samples.size // 256) / 6.0 + k)
         contour[10:14] = 0.0
         _write_pitch(f0, contour)
         rows.append(
@@ -168,10 +170,9 @@ def test_compare_identity_pairs(corpus, tmp_path):
     _, manifest, rows = corpus
     out = tmp_path / "cmp"
     assert main(["compare", "--manifest", str(manifest), "--out", str(out)]) == 0
-    report = json.loads((out / f"{rows[0]['utterance_id']}.report.json").read_text())
-    assert report["l1"] == 0.0 and report["l2"] == 0.0 and report["sconv"] == 0.0
-    assert report["f0_rmse"] == 0.0 and report["pearson_r"] == 1.0 and report["vuv_error"] == 0.0
-    assert report["delta_spr"] == 0.0
+    for row in rows:
+        report = json.loads((out / f"{row['utterance_id']}.report.json").read_text())
+        assert report == {name: 1.0 if name == "pearson_r" else 0.0 for name in report}
 
     agg = {line.split(",")[0]: line.split(",") for line in (out / "aggregate.csv").read_text().splitlines()[1:]}
     for label in ("L1", "L2", "SConv", "E_V/UV", "MAE(HQER)/%"):
@@ -525,7 +526,7 @@ def test_non_finite_pitch_cell_fails_its_entry(corpus, tmp_path, bad_rows):
 def test_compare_all_unvoiced_syn_pitch_reports_null(corpus, tmp_path):
     _, _, rows = corpus
     unvoiced = tmp_path / "unvoiced.f0.csv"
-    _write_pitch(unvoiced, np.zeros(50))
+    _write_pitch(unvoiced, np.zeros(len(Path(rows[0]["f0_syn"]).read_text().splitlines()) - 1))
     manifest = tmp_path / "m.csv"
     _write_manifest(manifest, [dict(rows[0], f0_syn=str(unvoiced))])
     out = tmp_path / "cmp"
@@ -853,9 +854,10 @@ def test_subcommands_agree_on_shared_measures(tmp_path):
     rows = {}
     for side, seconds, base_hz in (("ref", 0.7, 118.0), ("syn", 0.9, 131.0)):
         wav = tmp_path / f"{side}.wav"
-        write_wav_bytes(wav, speechlike(rng, seconds), SR, "float32")
+        samples = speechlike(rng, seconds)
+        write_wav_bytes(wav, samples, SR, "float32")
         f0 = tmp_path / f"{side}.f0.csv"
-        contour = base_hz + 9.0 * np.sin(np.arange(60) / (5.0 if side == "ref" else 3.0))
+        contour = base_hz + 9.0 * np.sin(np.arange(samples.size // 256) / (5.0 if side == "ref" else 3.0))
         contour[20:26] = 0.0
         _write_pitch(f0, contour)
         rows[side] = {"wav": str(wav), "f0": str(f0)}
@@ -1103,3 +1105,181 @@ def test_serial_run_leaves_the_pool_unimported(corpus, tmp_path, command):
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["0", "[]"]
+
+
+# ------------------------------------------- one alignment per compare pair
+
+
+def _harmonic(f0_hz: np.ndarray) -> np.ndarray:
+    """24 harmonics with 1/k amplitudes over a per-sample f0, peak 0.3."""
+    phase = 2.0 * np.pi * np.cumsum(f0_hz) / SR
+    x = sum(np.sin(k * phase) / k for k in range(1, 25))
+    return 0.3 * x / np.abs(x).max()
+
+
+def _rows(f0_per_sample: np.ndarray) -> np.ndarray:
+    """The per-sample f0 at the start of each 256-sample frame: one pitch-CSV row per frame."""
+    return f0_per_sample[np.arange(f0_per_sample.size // 256) * 256]
+
+
+def _voiced_and_noise(stretch: float) -> tuple[np.ndarray, np.ndarray]:
+    """Voiced stretches over a gliding f0 between noise stretches, each
+    ``stretch`` times as long; the samples and the per-sample f0 (0 where unvoiced)."""
+    rng = np.random.default_rng(3)
+    xs, f0s = [], []
+    for seconds, start_hz, end_hz in ((0.35, 120, 150), (0.12, 0, 0), (0.4, 170, 135), (0.1, 0, 0), (0.3, 140, 160)):
+        n = int(round(seconds * stretch * SR))
+        f0 = np.linspace(start_hz, end_hz, n)
+        xs.append(_harmonic(f0) if start_hz else 0.05 * np.diff(rng.normal(size=n + 1)))
+        f0s.append(f0)
+    return np.concatenate(xs), np.concatenate(f0s)
+
+
+def _tones_around_pause(pause_s: float) -> tuple[np.ndarray, np.ndarray]:
+    """0.4 s at 150 Hz, ``pause_s`` of digital silence, 0.4 s at 220 Hz; the samples and the per-sample f0."""
+    n = int(0.4 * SR)
+    f0 = np.concatenate([np.full(n, 150.0), np.zeros(int(pause_s * SR)), np.full(n, 220.0)])
+    return np.where(f0 > 0, _harmonic(np.maximum(f0, 150.0)), 0.0), f0
+
+
+def _pair_manifest(tmp_path: Path, pairs: dict) -> Path:
+    """Write each pair's ref and syn wavs and pitch CSVs, and a compare manifest of them."""
+    rows = []
+    for uid, sides in pairs.items():
+        row = {"utterance_id": uid}
+        for side, (x, f0_rows) in zip(("ref", "syn"), sides):
+            wav, f0 = tmp_path / f"{uid}.{side}.wav", tmp_path / f"{uid}.{side}.f0.csv"
+            write_wav_bytes(wav, x, SR, "float32")
+            _write_pitch(f0, f0_rows)
+            row |= {f"{side}_wav": str(wav), f"f0_{side}": str(f0)}
+        rows.append(row)
+    manifest = tmp_path / "pairs.csv"
+    _write_manifest(manifest, rows, fields=("utterance_id", "ref_wav", "syn_wav", "f0_ref", "f0_syn"))
+    return manifest
+
+
+def test_compare_aligns_each_pair_once(corpus, tmp_path, monkeypatch):
+    _, manifest, rows = corpus
+    calls = []
+    align = cli.cmp.dtw_align
+
+    def counting(a, b, distance="cosine"):
+        calls.append(distance)
+        return align(a, b, distance)
+
+    monkeypatch.setattr(cli.cmp, "dtw_align", counting)
+    assert main(["compare", "--manifest", str(manifest), "--out", str(tmp_path / "cmp")]) == 0
+    assert calls == ["cosine"] * len(rows)
+
+
+def test_time_stretched_voiced_tone_keeps_its_voicing_along_the_mel_path(tmp_path):
+    """Pitch is scored along the mel path, not along one fitted to the pitch.
+
+    Measured: E_V/UV 0.009 and 0.016 at 0.85x and 1.15x (0 to 0.016 over
+    0.85-1.2x), about one mismatched frame at a voicing boundary, f0 RMSE
+    0.30-0.38 Hz and r >= 0.9994.
+    """
+    ref, ref_f0 = _voiced_and_noise(1.0)
+    pairs = {}
+    for stretch in (0.85, 1.15):
+        syn, syn_f0 = _voiced_and_noise(stretch)
+        pairs[f"x{stretch}"] = ((ref, _rows(ref_f0)), (syn, _rows(syn_f0)))
+    out = tmp_path / "cmp"
+    assert main(["compare", "--manifest", str(_pair_manifest(tmp_path, pairs)), "--out", str(out)]) == 0
+    for uid in pairs:
+        report = json.loads((out / f"{uid}.report.json").read_text())
+        assert report["vuv_error"] <= 0.03
+        assert report["f0_rmse"] < 0.6 and report["pearson_r"] > 0.999
+
+
+def test_pitch_rows_follow_the_samples_the_silence_cap_kept(tmp_path):
+    x, f0 = _tones_around_pause(0.8)
+    wav, f0_csv = tmp_path / "p.wav", tmp_path / "p.f0.csv"
+    write_wav_bytes(wav, x, SR, "float32")
+    _write_pitch(f0_csv, _rows(f0))
+    mel, bundle = cli._analyze(cli.ManifestEntry("p", str(wav)), str(wav), str(f0_csv), load_run_config())
+    grid, tone_frames = bundle.frame_pitch, int(0.4 * SR) // 256
+    assert grid.f0.size == mel.n_frames
+    first, last = slice(0, tone_frames - 1), slice(mel.n_frames - tone_frames + 1, mel.n_frames)
+    assert (grid.f0[first] == 150.0).all() and (grid.f0[last] == 220.0).all()
+    # frame k with row k would put rows of the removed pause on the second tone
+    assert not bundle.pitch.voiced[last].all()
+
+    # the same tones around a pause the cap leaves alone line up with these rows
+    short, short_f0 = _tones_around_pause(0.2)
+    manifest = _pair_manifest(tmp_path, {"pause": ((x, _rows(f0)), (short, _rows(short_f0)))})
+    assert main(["compare", "--manifest", str(manifest), "--out", str(tmp_path / "cmp")]) == 0
+    report = json.loads((tmp_path / "cmp" / "pause.report.json").read_text())
+    assert report["vuv_error"] <= 0.03 and report["f0_rmse"] == 0.0
+
+
+def test_pitch_deltas_use_the_csv_as_read(tmp_path):
+    """mu_f0 and sigma_f0 come from every CSV row, also the rows of a pause the cap removed."""
+    x, f0 = _tones_around_pause(0.8)
+    claimed = np.where(f0 > 0, f0, 300.0)  # a tracker that calls the pause voiced
+    short, short_f0 = _tones_around_pause(0.2)
+    manifest = _pair_manifest(tmp_path, {"pause": ((x, _rows(claimed)), (short, _rows(short_f0)))})
+    assert main(["compare", "--manifest", str(manifest), "--out", str(tmp_path / "cmp")]) == 0
+    report = json.loads((tmp_path / "cmp" / "pause.report.json").read_text())
+    ref, syn = _rows(claimed), _rows(short_f0)[_rows(short_f0) > 0]
+    assert report["delta_mu_f0"] == pytest.approx(syn.mean() - ref.mean(), rel=1e-5)
+    assert report["delta_sigma_f0"] == pytest.approx(syn.std() - ref.std(), rel=1e-5)
+    # the frame grid keeps only the rows of the 200 ms the cap left, so its statistics differ
+    _, bundle = cli._analyze(cli.ManifestEntry("p", "w"), tmp_path / "pause.ref.wav", tmp_path / "pause.ref.f0.csv",
+                             load_run_config())
+    assert abs(bundle.frame_pitch.voiced_f0().mean() - ref.mean()) > 10.0
+
+
+@pytest.mark.parametrize("command", ["compare", "corpus-stats"])
+def test_pitch_csv_of_another_utterance_fails_its_entry(corpus, tmp_path, command):
+    _, manifest, rows = corpus
+    swapped = [dict(rows[0]), dict(rows[1], f0_ref=rows[2]["f0_ref"]), dict(rows[2])]  # 0.75 s wav, 0.9 s CSV
+    bad = tmp_path / "bad.csv"
+    _write_manifest(bad, swapped)
+    if command == "compare":
+        out = tmp_path / "cmp"
+        argv, log, key = ["compare", "--manifest", str(bad), "--out", str(out)], out / "errors.log", "utt01"
+    else:
+        out = tmp_path / "stats" / "stats.csv"
+        argv = ["corpus-stats", "--manifest-a", str(bad), "--manifest-b", str(manifest), "--out", str(out)]
+        log, key = out.parent / "errors.log", "a\tutt01"
+    assert main(argv) == 2
+    assert log.read_text() == (f"{key}\tValueError: pitch CSV {rows[2]['f0_ref']} has 77 rows, "
+                               "but its wav has 64 frames of 256 samples at 22050 Hz\n")
+    if command == "compare":
+        assert sorted(p.name for p in out.iterdir()) == ["aggregate.csv", "errors.log", "utt00.report.json",
+                                                         "utt02.report.json"]
+    else:
+        assert out.exists()
+
+
+def test_pitch_csv_may_miss_or_add_one_row(corpus, tmp_path):
+    _, manifest, _ = corpus
+    entry, run = read_manifest(manifest)[0], load_run_config()
+    n = len(Path(entry.f0_ref).read_text().splitlines()) - 1
+    for count in (n - 2, n - 1, n + 1, n + 2):
+        f0_csv = tmp_path / f"{count}.csv"
+        _write_pitch(f0_csv, np.full(count, 120.0))
+        if abs(count - n) == 1:
+            assert cli._analyze(entry, entry.ref_wav, f0_csv, run)[1].frame_pitch.f0.size == n
+        else:
+            with pytest.raises(ValueError, match=f"has {count} rows, but its wav has {n} frames"):
+                cli._analyze(entry, entry.ref_wav, f0_csv, run)
+
+
+@pytest.mark.parametrize("command", ["features", "compare", "corpus-stats"])
+def test_clean_run_removes_an_earlier_errors_log(corpus, tmp_path, command):
+    _, manifest, rows = corpus
+    broken = tmp_path / "broken.csv"
+    _write_manifest(broken, rows + [dict(rows[0], utterance_id="zz_missing", ref_wav=str(tmp_path / "missing.wav"))])
+    out = tmp_path / ("stats/stats.csv" if command == "corpus-stats" else "out")
+    log = (out.parent if command == "corpus-stats" else out) / "errors.log"
+
+    def run(m):
+        if command == "corpus-stats":
+            return main([command, "--manifest-a", str(m), "--manifest-b", str(manifest), "--out", str(out)])
+        return main([command, "--manifest", str(m), "--out", str(out)])
+
+    assert run(broken) == 2 and "zz_missing" in log.read_text()
+    assert run(manifest) == 0
+    assert not log.exists()

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from melcep import compare
 from melcep.compare import (
     _pairwise_distance,
+    DtwPath,
     PitchContour,
     UtteranceBundle,
     build_report,
@@ -21,7 +22,7 @@ from melcep.compare import (
     utterance_deltas,
 )
 from melcep.cepstral import mel_cepstrogram, quefrency_power
-from melcep.osmetrics import utterance_metrics
+from melcep.osmetrics import UtteranceMetrics, utterance_metrics
 from melcep.spectral import LogMelSpectrogram
 
 from conftest import speechy_frame
@@ -368,7 +369,20 @@ def test_pitch_metrics_too_few_voiced_pairs():
 def test_pitch_metrics_no_pair_voiced_on_both_sides():
     ref = PitchContour(np.array([100.0, 110.0, 120.0]), np.ones(3, dtype=bool))
     syn = PitchContour(np.zeros(4), np.zeros(4, dtype=bool))
-    assert pitch_metrics(ref, syn) == (None, None, 1.0)
+    path = DtwPath(np.array([[0, 0], [1, 1], [2, 2], [2, 3]]))
+    assert pitch_metrics(ref, syn, path) == (None, None, 1.0)
+
+
+def test_pitch_metrics_follow_the_given_path():
+    ref = PitchContour(np.array([100.0, 110.0, 0.0]), np.array([True, True, False]))
+    syn = PitchContour(np.array([100.0, 100.0, 110.0, 0.0]), np.array([True, True, True, False]))
+    path = DtwPath(np.array([[0, 0], [0, 1], [1, 2], [2, 3]]))
+    assert pitch_metrics(ref, syn, path) == (0.0, pytest.approx(1.0), 0.0)
+    # frame by frame, ref's unvoiced last frame would meet syn's voiced third one
+    with pytest.raises(ValueError, match="need a path"):
+        pitch_metrics(ref, syn)
+    with pytest.raises(ValueError, match="not at the contours' last frames"):
+        pitch_metrics(ref, syn, DtwPath(path.pairs[:-1]))
 
 
 def test_pitch_contour_validation():
@@ -432,6 +446,37 @@ def test_metric_curve_mae_offset_in_one_metric(rng):
     mae = metric_curve_mae(um_ref, um_syn)
     assert mae.hqer == pytest.approx(0.02, abs=1e-12)
     assert mae.cslope == 0.0 and mae.ccentroid == 0.0 and mae.croll95 == 0.0
+
+
+def test_metric_curve_mae_skips_pairs_with_an_unusable_frame():
+    def um(frames, hqer):
+        hqer = np.asarray(hqer, dtype=float)
+        return UtteranceMetrics(np.asarray(frames), hqer=hqer, cslope=0 * hqer, ccentroid=0 * hqer,
+                                croll95=np.zeros(hqer.size, dtype=int))
+
+    ref = um([0, 1, 3], [0.5, 0.6, 0.7])  # frame 2 is unusable
+    syn = um([0, 1, 2, 3], [0.5, 0.6, 9.0, 0.8])
+    diagonal = DtwPath(np.repeat(np.arange(4), 2).reshape(-1, 2))
+    for path in (diagonal, None):
+        assert metric_curve_mae(ref, syn, path).hqer == pytest.approx(0.1 / 3, abs=1e-15)
+    # here syn's frame 2 also meets ref's usable frame 1; the pair (2, 2) still does not count
+    path = DtwPath(np.array([[0, 0], [1, 1], [1, 2], [2, 2], [3, 3]]))
+    assert metric_curve_mae(ref, syn, path).hqer == pytest.approx((8.4 + 0.1) / 4, abs=1e-15)
+    # no pair has two usable frames
+    assert metric_curve_mae(um([0], [0.5]), um([1], [0.5]), DtwPath(np.array([[0, 0], [1, 1]]))) == (None,) * 4
+
+
+def test_build_report_scores_pitch_on_the_frame_grid(rng):
+    """``frame_pitch``, not the contour as read, meets the mel path; the deltas use the contour as read."""
+    frames = [speechy_frame(rng) for _ in range(4)]
+    on_grid = PitchContour(np.array([100.0, 120.0, 0.0, 140.0]), np.array([True, True, False, True]))
+    as_read = PitchContour(np.array([100.0, 120.0, 0.0, 0.0, 140.0, 500.0]), np.array([1, 1, 0, 0, 1, 1], bool))
+    ref = UtteranceBundle(duration_s=1.0, metrics=_um(frames), pitch=as_read, frame_pitch=on_grid)
+    syn = UtteranceBundle(duration_s=1.0, metrics=_um(frames), pitch=on_grid)
+    assert syn.frame_pitch is syn.pitch
+    report = build_report(_mel(frames), _mel(frames), ref, syn)
+    assert (report.f0_rmse, report.vuv_error) == (0.0, 0.0)
+    assert report.delta_mu_f0 == pytest.approx(120.0 - 215.0)
 
 
 # --------------------------------------------------- report and CSV IO
