@@ -40,51 +40,3 @@ from .stats import CorpusSummary, UtteranceStats, mann_whitney_u, summarize
 from .synthlab import DegradationSpec, degrade, run_monotonicity_suite, synth_harmonic_spectrogram
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "ComparisonReport",
-    "CorpusSummary",
-    "DegenerateFrameError",
-    "DegradationSpec",
-    "DtwPath",
-    "LogMelSpectrogram",
-    "MelCepstrogram",
-    "MelConfig",
-    "MetricConfig",
-    "PitchContour",
-    "PreprocessConfig",
-    "QuefrencyPower",
-    "SilentSignalError",
-    "StftConfig",
-    "UtteranceBundle",
-    "UtteranceMetrics",
-    "UtteranceStats",
-    "Waveform",
-    "build_report",
-    "ccentroid",
-    "croll95",
-    "croll95_soft",
-    "cslope",
-    "degrade",
-    "dtw_align",
-    "hqer",
-    "load_pitch_csv",
-    "load_wav",
-    "log_mel",
-    "mann_whitney_u",
-    "mel_cepstrogram",
-    "mel_distances",
-    "mel_filterbank",
-    "metric_curve_mae",
-    "pitch_metrics",
-    "preprocess",
-    "quefrency_power",
-    "read_blob",
-    "run_monotonicity_suite",
-    "stft",
-    "summarize",
-    "synth_harmonic_spectrogram",
-    "utterance_deltas",
-    "utterance_metrics",
-    "write_blob",
-]

@@ -117,13 +117,13 @@ def _parse_bool(value: str) -> bool:
 
 
 def _finite_float(value: str) -> float:
-    """Type of every float config key and of ``--eps``: a number, not NaN or inf."""
+    """Parser of every float config key: a number, not NaN or inf."""
     try:
         number = float(value)
     except ValueError:
         number = math.nan
     if not math.isfinite(number):
-        raise argparse.ArgumentTypeError(f"expected a finite number, got {value!r}")
+        raise ValueError(f"expected a finite number, got {value!r}")
     return number
 
 
@@ -159,9 +159,8 @@ _CONFIG_KEYS = {
 }
 
 
-def load_run_config(path=None, qc=None, eps=None) -> RunConfig:
-    """Build the run configuration from an optional key=value file plus flag
-    overrides (flags win)."""
+def load_run_config(path=None) -> RunConfig:
+    """Build the run configuration from an optional key=value file."""
     sections = {section.name: {} for section in fields(RunConfig)}
     key_lines = {}
     if path is not None:
@@ -184,12 +183,8 @@ def load_run_config(path=None, qc=None, eps=None) -> RunConfig:
             section, conv = _CONFIG_KEYS[key]
             try:
                 sections[section][key] = conv(value)
-            except (ValueError, argparse.ArgumentTypeError) as exc:
+            except ValueError as exc:
                 raise UsageError(f"config line {lineno}: bad value for {key}: {exc}") from exc
-    if qc is not None:
-        sections["metric"]["cutoff_q"] = qc
-    if eps is not None:
-        sections["metric"]["eps"] = eps
     try:
         return RunConfig(**{f.name: replace(f.default, **sections[f.name]) for f in fields(RunConfig)})
     except ValueError as exc:
@@ -219,17 +214,21 @@ def read_manifest(path) -> list[ManifestEntry]:
         raise UsageError(f"manifest columns named more than once: {repeated}")
     if "utterance_id" not in fieldnames or "ref_wav" not in fieldnames:
         raise UsageError("manifest must have utterance_id and ref_wav columns")
-    entries = []
+    entries, id_lines = [], {}
     for lineno, row in rows:
         # DictReader files the cells past the header under the key None
         if any(extra.strip() for extra in row.get(None, ())):
             raise UsageError(f"manifest line {lineno}: more cells than header columns")
         cells = {name: (row.get(name) or "").strip() or None for name in MANIFEST_FIELDS}
-        if cells["utterance_id"] is None or cells["ref_wav"] is None:
+        uid = cells["utterance_id"]
+        if uid is None or cells["ref_wav"] is None:
             raise UsageError(f"manifest line {lineno}: utterance_id and ref_wav are required")
-        if cells["utterance_id"] in (".", "..") or _UNSAFE_ID_CHAR.search(cells["utterance_id"]):
-            raise UsageError(f"manifest line {lineno}: utterance_id {cells['utterance_id']!r} must not be '.' or '..' "
+        if uid in (".", "..") or _UNSAFE_ID_CHAR.search(uid):
+            raise UsageError(f"manifest line {lineno}: utterance_id {uid!r} must not be '.' or '..' "
                              "or hold '/', '\\' or a control character")
+        if uid in id_lines:
+            raise UsageError(f"manifest line {lineno}: duplicate utterance_id {uid!r}, first on line {id_lines[uid]}")
+        id_lines[uid] = lineno
         if cells["token_count"] is not None:
             try:
                 cells["token_count"] = _int_at_least(0)(cells["token_count"])
@@ -240,9 +239,6 @@ def read_manifest(path) -> list[ManifestEntry]:
         entries.append(ManifestEntry(**cells))
     if not entries:
         raise UsageError("empty manifest")
-    ids = [e.utterance_id for e in entries]
-    if len(set(ids)) != len(ids):
-        raise UsageError("duplicate utterance_id in manifest")
     return sorted(entries, key=lambda e: e.utterance_id)
 
 
@@ -479,8 +475,6 @@ def build_parser() -> _Parser:
         p.add_argument("--out", required=True, help="output directory or file")
         p.add_argument("--config", default=None, help="key=value config file")
         p.add_argument("--workers", type=_int_at_least(1), default=1, help="parallel worker processes")
-        p.add_argument("--qc", type=int, default=None, help="metric cutoff quefrency override")
-        p.add_argument("--eps", type=_finite_float, default=None, help="metric epsilon override")
 
     add_common(sub.add_parser("features", help="extract log-mel blobs and metric CSVs"))
     add_common(sub.add_parser("compare", help="score reference/synthesis pairs"))
@@ -505,7 +499,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.command == "synthlab":
             return cmd_synthlab(args)
-        run = load_run_config(args.config, args.qc, args.eps)
+        run = load_run_config(args.config)
         commands = {"features": cmd_features, "compare": cmd_compare, "corpus-stats": cmd_corpus_stats}
         return commands[args.command](args, run)
     except UsageError as exc:

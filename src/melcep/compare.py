@@ -392,8 +392,8 @@ def load_pitch_csv(path, hop: int = StftConfig.hop, sample_rate: int = Preproces
 
     Every cell is a finite number, except that an f0 cell may be empty;
     rows whose cells are all blank are skipped.  Empty or non-positive f0
-    cells mark unvoiced frames.  Frame times must be uniformly spaced at
-    hop/sample_rate seconds (within 1e-6 s).
+    cells mark unvoiced frames.  Frame times must start at 0 and be
+    uniformly spaced at hop/sample_rate seconds (both within 1e-6 s).
     """
     times: list[float] = []
     f0: list[float] = []
@@ -417,6 +417,8 @@ def load_pitch_csv(path, hop: int = StftConfig.hop, sample_rate: int = Preproces
             f0.append(hz)
     if not times:
         raise ValueError(f"pitch CSV {path!s} has no rows")
+    if abs(times[0]) > 1e-6:
+        raise ValueError(f"pitch CSV {path!s} starts at {times[0]:g} s, not at 0")
     expected_dt = hop / sample_rate
     dt = np.diff(np.asarray(times))
     if dt.size and np.abs(dt - expected_dt).max() > 1e-6:

@@ -315,21 +315,27 @@ def test_load_run_config_overrides(tmp_path):
     assert run.metric.eps == 1e-8
     assert run.preprocess.silence_trim_ms == 150.0
     assert run.mel.n_mels == 40
-    run = load_run_config(config, qc=7, eps=1e-6)
-    assert run.metric.cutoff_q == 7
-    assert run.metric.eps == 1e-6
 
 
 @pytest.mark.parametrize("command", ["features", "compare", "corpus-stats"])
 def test_out_of_range_qc_is_config_error(corpus, tmp_path, capsys, command):
     _, manifest, _ = corpus
     out = tmp_path / "out"
-    if command == "corpus-stats":
-        argv = [command, "--manifest-a", str(manifest), "--manifest-b", str(manifest), "--out", str(out / "s.csv")]
-    else:
-        argv = [command, "--manifest", str(manifest), "--out", str(out)]
-    assert main(argv + ["--qc", "100"]) == 1
+    config = tmp_path / "cfg.txt"
+    config.write_text("cutoff_q = 100\n")
+    assert main(_batch_argv(command, manifest, out) + ["--config", str(config)]) == 1
     assert "cutoff_q must be in [1, 41]" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# the cutoff and epsilon are set in the config file only
+@pytest.mark.parametrize("command", ["features", "compare", "corpus-stats"])
+@pytest.mark.parametrize("flag", [["--qc", "5"], ["--eps", "1e-6"]], ids=["qc", "eps"])
+def test_metric_flags_are_unrecognised(corpus, tmp_path, capsys, command, flag):
+    _, manifest, _ = corpus
+    out = tmp_path / "out"
+    assert main(_batch_argv(command, manifest, out) + flag) == 1
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -427,6 +433,19 @@ def test_read_manifest_validation(tmp_path):
     manifest.write_text("utterance_id,ref_wav,ref_wav\nu1,a.wav,b.wav\n")  # the last cell won
     with pytest.raises(UsageError, match=r"columns named more than once: \['ref_wav'\]"):
         read_manifest(manifest)
+
+
+@pytest.mark.parametrize("command", ["features", "compare", "corpus-stats"])
+def test_duplicate_id_names_the_id_and_both_lines(corpus, tmp_path, monkeypatch, capsys, command):
+    _, _, rows = corpus
+    manifest = tmp_path / "m.csv"
+    _write_manifest(manifest, [rows[0], rows[1], rows[2], dict(rows[2], utterance_id="utt01"), rows[0]])
+    loaded = []
+    monkeypatch.setattr(cli, "load_wav", loaded.append)
+    out = tmp_path / "out"
+    assert main(_batch_argv(command, manifest, out)) == 1
+    assert capsys.readouterr().err == "error: manifest line 5: duplicate utterance_id 'utt01', first on line 3\n"
+    assert not out.exists() and loaded == []
 
 
 def _batch_argv(command, manifest, out):
@@ -753,7 +772,7 @@ def test_pool_is_capped_at_entry_count(corpus, tmp_path, monkeypatch):
         ("hop = -2", []),
         ("highpass_hz = -5", []),
         ("silence_threshold_db = nan", []),
-        ("", ["--eps", "nan"]),
+        ("eps = nan", []),
         ("hop = 0", []),
         ("highpass_hz = 0", []),
         ("silence_trim_ms = inf", []),
@@ -1251,6 +1270,22 @@ def test_pitch_csv_of_another_utterance_fails_its_entry(corpus, tmp_path, comman
                                                          "utt02.report.json"]
     else:
         assert out.exists()
+
+
+def test_pitch_csv_that_starts_late_fails_its_entry(corpus, tmp_path):
+    """Row k is taken as frame k, so a CSV whose rows start at 5 s would be
+    scored as if it started at 0; it fails its own entry instead."""
+    _, _, rows = corpus
+    late = tmp_path / "late.f0.csv"
+    header, *lines = Path(rows[0]["f0_syn"]).read_text().splitlines()
+    late.write_text("\n".join([header] + [f"{5.0 + k * HOP_S:.8f},{line.split(',')[1]}"
+                                            for k, line in enumerate(lines)]) + "\n")
+    manifest = tmp_path / "late.csv"
+    _write_manifest(manifest, rows + [dict(rows[0], utterance_id="zz_late", f0_syn=str(late))])
+    out = tmp_path / "cmp"
+    assert main(["compare", "--manifest", str(manifest), "--out", str(out)]) == 2
+    assert (out / "errors.log").read_text() == f"zz_late\tValueError: pitch CSV {late} starts at 5 s, not at 0\n"
+    assert sorted(p.name for p in out.glob("*.report.json")) == [f"utt0{k}.report.json" for k in range(3)]
 
 
 def test_pitch_csv_may_miss_or_add_one_row(corpus, tmp_path):

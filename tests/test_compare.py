@@ -546,6 +546,20 @@ def test_load_pitch_csv_rejects_nonuniform_times(tmp_path):
         load_pitch_csv(path)
 
 
+@pytest.mark.parametrize("start", [5.0, -0.0116, 2e-6])
+def test_load_pitch_csv_rejects_a_late_or_early_start(tmp_path, start):
+    path = tmp_path / "f0.csv"
+    path.write_text("time_s,f0_hz\n" + "".join(f"{start + k * 256 / 22050:.9f},100\n" for k in range(3)))
+    with pytest.raises(ValueError, match=f"{re.escape(str(path))} starts at {start:g} s, not at 0"):
+        load_pitch_csv(path)
+
+
+def test_load_pitch_csv_accepts_a_start_within_1e6_s_of_0(tmp_path):
+    path = tmp_path / "f0.csv"
+    path.write_text("time_s,f0_hz\n" + "".join(f"{5e-7 + k * 256 / 22050:.9f},100\n" for k in range(3)))
+    assert load_pitch_csv(path).f0.size == 3
+
+
 # The NaN time passed the spacing check (NaN > 1e-6 is False) and the NaN f0
 # read as unvoiced.
 @pytest.mark.parametrize(
