@@ -196,7 +196,8 @@ def load_run_config(path=None) -> RunConfig:
 _UNSAFE_ID_CHAR = re.compile(r"[/\\\x00-\x1f\x7f-\x9f]")
 
 
-def read_manifest(path) -> list[ManifestEntry]:
+def read_manifest(path, required=("utterance_id", "ref_wav")) -> list[ManifestEntry]:
+    """The manifest's entries, sorted by id; a header without a ``required`` column is a usage error."""
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.DictReader(fh)
@@ -212,8 +213,8 @@ def read_manifest(path) -> list[ManifestEntry]:
         raise UsageError(f"unknown manifest columns: {sorted(unknown)}")
     if repeated := [name for name in MANIFEST_FIELDS if fieldnames.count(name) > 1]:
         raise UsageError(f"manifest columns named more than once: {repeated}")
-    if "utterance_id" not in fieldnames or "ref_wav" not in fieldnames:
-        raise UsageError("manifest must have utterance_id and ref_wav columns")
+    if any(name not in fieldnames for name in required):
+        raise UsageError(f"manifest must have {', '.join(required[:-1])} and {required[-1]} columns")
     entries, id_lines = [], {}
     for lineno, row in rows:
         # DictReader files the cells past the header under the key None
@@ -399,7 +400,8 @@ def cmd_features(args, run: RunConfig) -> int:
 
 
 def cmd_compare(args, run: RunConfig) -> int:
-    jobs = [((e.utterance_id,), (e, run, args.out)) for e in read_manifest(args.manifest)]
+    entries = read_manifest(args.manifest, required=("utterance_id", "ref_wav", "syn_wav"))
+    jobs = [((e.utterance_id,), (e, run, args.out)) for e in entries]
     out_dir = _out_dir(args.out)
     done, failed = _run_batch(_compare_worker, jobs, args.workers, out_dir)
     reports = [report for _, report in done]

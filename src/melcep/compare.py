@@ -1,10 +1,10 @@
 """Pairwise reference-vs-synthesis scoring.
 
-Each pair is aligned once, by dynamic time warping of the log-mel frames
-under a framewise cosine distance.  The mel distances, the pitch scores and
-the metric-curve errors are all taken along that path.  Utterance-level
-deltas (synthesis minus reference) cover pitch statistics, speaking rate,
-and the oversmoothing metrics.
+``build_report`` aligns each pair once, by dynamic time warping of the
+log-mel frames under a framewise cosine distance, and takes the mel
+distances, the pitch scores and the metric-curve errors along that path.
+Utterance-level deltas (synthesis minus reference) cover pitch statistics,
+speaking rate, and the oversmoothing metrics.
 """
 
 from __future__ import annotations
@@ -76,14 +76,10 @@ class PitchMetrics(NamedTuple):
     vuv_error: float
 
 
-class MelDistances(NamedTuple("MelDistances", [("l1", float), ("l2", float), ("sconv", float)])):
-    """The aligned mel distances; ``path``, not a tuple field, is the cosine
-    alignment they were taken along, which the other aligned scores reuse."""
-
-    def __new__(cls, l1: float, l2: float, sconv: float, path: DtwPath | None = None):
-        self = super().__new__(cls, l1, l2, sconv)
-        self.path = path
-        return self
+class MelDistances(NamedTuple):
+    l1: float
+    l2: float
+    sconv: float
 
 
 MetricCurveMae = NamedTuple("MetricCurveMae", [(name, float | None) for name in METRIC_NAMES])
@@ -116,7 +112,8 @@ class UtteranceBundle:
 
         ``mu_f0`` and ``sigma_f0`` are the mean and population std of the
         voiced f0; ``spr`` is the speaking rate in tokens per second of
-        audio; the metric names map to their utterance means.
+        ``duration_s``, the length of the preprocessed, silence-capped
+        signal; the metric names map to their utterance means.
         """
         voiced = self.pitch.voiced_f0() if self.pitch is not None else np.empty(0)
         has_tokens = self.token_count is not None and self.duration_s > 0
@@ -269,17 +266,19 @@ def dtw_align(a, b, distance: str = "cosine") -> tuple[DtwPath, float]:
     return DtwPath(np.asarray(pairs, dtype=np.intp)), total
 
 
-def mel_distances(ref: LogMelSpectrogram, syn: LogMelSpectrogram) -> MelDistances:
-    """L1/L2 error and spectral convergence over the DTW-aligned frame pairs.
+def mel_distances(ref: LogMelSpectrogram, syn: LogMelSpectrogram, path: DtwPath | None = None) -> MelDistances:
+    """L1/L2 error and spectral convergence over the frame pairs of ``path``.
 
-    Alignment uses the cosine distance; the distances are then taken over the
-    aligned band-by-step matrices.  Spectral convergence is the Frobenius
-    norm of the aligned difference over the Frobenius norm of the aligned
-    reference.  The result's ``path`` is the alignment.
+    ``path`` pairs the frames of the two spectrograms (in ``build_report``,
+    their cosine path); without one, they are aligned here by cosine DTW.
+    The distances are taken over the aligned band-by-step matrices.
+    Spectral convergence is the Frobenius norm of the aligned difference
+    over the Frobenius norm of the aligned reference.
     """
     if ref.n_bands != syn.n_bands:
         raise ValueError("band count mismatch")
-    path, _ = dtw_align(ref.values.T, syn.values.T, distance="cosine")
+    if path is None:
+        path, _ = dtw_align(ref.values.T, syn.values.T)
     r = ref.values[:, path.i]
     s = syn.values[:, path.j]
     diff = r - s
@@ -287,7 +286,6 @@ def mel_distances(ref: LogMelSpectrogram, syn: LogMelSpectrogram) -> MelDistance
         l1=float(np.mean(np.abs(diff))),
         l2=float(np.mean(np.square(diff))),
         sconv=float(np.linalg.norm(diff) / np.linalg.norm(r)),
-        path=path,
     )
 
 
@@ -374,16 +372,17 @@ def build_report(
 ) -> ComparisonReport:
     """Assemble the full comparison report for one utterance pair.
 
-    The pair is aligned once, in ``mel_distances``; the pitch scores (over
-    each bundle's ``frame_pitch``) and the metric-curve errors are taken
-    along that path.
+    The pair is aligned once, by cosine DTW of its log-mel frames; the mel
+    distances, the pitch scores (over each bundle's ``frame_pitch``) and the
+    metric-curve errors are taken along that path.
     """
-    dist = mel_distances(ref_mel, syn_mel)
+    path, _ = dtw_align(ref_mel.values.T, syn_mel.values.T)
+    dist = mel_distances(ref_mel, syn_mel, path)
     if ref_bundle.frame_pitch is not None and syn_bundle.frame_pitch is not None:
-        pm = pitch_metrics(ref_bundle.frame_pitch, syn_bundle.frame_pitch, dist.path)
+        pm = pitch_metrics(ref_bundle.frame_pitch, syn_bundle.frame_pitch, path)
     else:
         pm = PitchMetrics(None, None, None)
-    mae = metric_curve_mae(ref_bundle.metrics, syn_bundle.metrics, dist.path)
+    mae = metric_curve_mae(ref_bundle.metrics, syn_bundle.metrics, path)
     return ComparisonReport(*dist, *pm, *mae, *utterance_deltas(ref_bundle, syn_bundle))
 
 

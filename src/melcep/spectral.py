@@ -205,12 +205,17 @@ def write_blob(s: LogMelSpectrogram, path) -> None:
 
 
 def read_blob(path) -> LogMelSpectrogram:
+    """Read a ``write_blob`` file; a payload longer or shorter than its header declares raises ``ValueError``."""
     with open(path, "rb") as fh:
         header = fh.read(16)
         if len(header) != 16 or header[:4] != BLOB_MAGIC:
             raise ValueError(f"not a log-mel blob: {path!s}")
         n_bands, n_frames, _ = struct.unpack("<IIi", header[4:])
-        data = np.frombuffer(fh.read(), dtype="<f4")
-    if data.size != n_bands * n_frames:
-        raise ValueError(f"truncated log-mel blob: {path!s}")
-    return LogMelSpectrogram(data.reshape(n_bands, n_frames))
+        payload = fh.read()
+    size = 4 * n_bands * n_frames
+    if len(payload) < size:
+        raise ValueError(f"log-mel blob {path!s} is cut short: {len(payload)} of {size} payload bytes")
+    if len(payload) > size:
+        raise ValueError(f"log-mel blob {path!s} has {len(payload) - size} trailing bytes "
+                         f"after its {n_bands} x {n_frames} values")
+    return LogMelSpectrogram(np.frombuffer(payload, dtype="<f4").reshape(n_bands, n_frames))

@@ -217,12 +217,25 @@ def test_compare_constant_log_offset_pair(tmp_path):
 def test_compare_entry_without_syn_fails_partially(corpus, tmp_path):
     _, _, rows = corpus
     manifest = tmp_path / "m.csv"
-    fields = ("utterance_id", "ref_wav", "f0_ref", "token_count")
-    entry = {k: rows[0][k] for k in fields}
-    _write_manifest(manifest, [entry], fields=fields)
+    _write_manifest(manifest, [rows[0], dict(rows[1], syn_wav="", f0_syn="")])
     out = tmp_path / "out"
     assert main(["compare", "--manifest", str(manifest), "--out", str(out)]) == 2
-    assert "syn_wav" in (out / "errors.log").read_text()
+    assert (out / "errors.log").read_text() == "utt01\tValueError: entry has no syn_wav\n"
+    assert (out / "utt00.report.json").exists() and not (out / "utt01.report.json").exists()
+
+
+def test_compare_manifest_without_syn_wav_column_is_usage_error(corpus, tmp_path, monkeypatch, capsys):
+    """Without the column every entry ran to its own failure, exit 2."""
+    _, _, rows = corpus
+    manifest = tmp_path / "m.csv"
+    fields = ("utterance_id", "ref_wav", "f0_ref", "token_count")
+    _write_manifest(manifest, [{k: r[k] for k in fields} for r in rows], fields=fields)
+    loaded = []
+    monkeypatch.setattr(cli, "load_wav", loaded.append)
+    out = tmp_path / "out"
+    assert main(["compare", "--manifest", str(manifest), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: manifest must have utterance_id, ref_wav and syn_wav columns\n"
+    assert not out.exists() and loaded == []
 
 
 def test_corpus_stats_same_corpus_high_p(corpus, tmp_path):
@@ -741,15 +754,16 @@ def test_chunks_are_contiguous_and_balanced(workers):
 def test_compare_all_entries_failing_writes_empty_aggregate(corpus, tmp_path, capsys):
     _, _, rows = corpus
     manifest = tmp_path / "m.csv"
-    fields = ("utterance_id", "ref_wav")
-    _write_manifest(manifest, [{k: r[k] for k in fields} for r in rows], fields=fields)
+    fields = ("utterance_id", "ref_wav", "syn_wav")
+    _write_manifest(manifest, [dict(utterance_id=r["utterance_id"], ref_wav=r["ref_wav"],
+                                    syn_wav=str(tmp_path / "missing.wav")) for r in rows], fields=fields)
     out = tmp_path / "out"
     assert main(["compare", "--manifest", str(manifest), "--out", str(out)]) == 2
     expected = ["measure,mean,std,count"] + [f"{label},,,0" for label, _, _ in AGGREGATE_MEASURES]
     assert (out / "aggregate.csv").read_text().splitlines() == expected
     assert len(expected) == 11
     assert len((out / "errors.log").read_text().splitlines()) == len(rows)
-    assert capsys.readouterr().err.count("entry has no syn_wav") == len(rows)
+    assert capsys.readouterr().err.count("missing.wav") == len(rows)
 
 
 def test_pool_is_capped_at_entry_count(corpus, tmp_path, monkeypatch):

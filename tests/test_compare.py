@@ -297,6 +297,31 @@ def test_mel_distances_constant_offset(rng):
     assert d.l2 == pytest.approx(1.0, abs=1e-12)
 
 
+def test_mel_distances_along_a_given_path(monkeypatch):
+    """Scored along the given path, which repeats ref frame 0 where the cosine
+    path would not; no alignment is computed."""
+    ref = LogMelSpectrogram(np.array([[1.0, 3.0], [2.0, 5.0]]))
+    syn = LogMelSpectrogram(np.array([[1.0, 2.0, 4.0], [0.0, 2.0, 5.0]]))
+    path = DtwPath(np.array([[0, 0], [0, 1], [1, 2]]))
+    assert dtw_align(ref.values.T, syn.values.T)[0].pairs.tolist() == [[0, 0], [1, 1], [1, 2]]
+    monkeypatch.setattr(compare, "dtw_align", None)
+    d = mel_distances(ref, syn, path)
+    # aligned differences (0, 2), (-1, 0), (-1, 0); aligned ref norm sqrt(44)
+    assert d.l1 == pytest.approx(4 / 6, abs=1e-15)
+    assert d.l2 == pytest.approx(6 / 6, abs=1e-15)
+    assert d.sconv == pytest.approx(np.sqrt(6 / 44), abs=1e-15)
+
+
+def test_mel_distances_is_a_plain_three_field_tuple(rng):
+    """It kept its path in an attribute outside the fields, which ``_replace`` dropped."""
+    s = _mel([speechy_frame(rng) for _ in range(6)])
+    d = mel_distances(s, s)
+    copy = d._replace(l1=1.0)
+    assert d == (0.0, 0.0, 0.0) and copy == (1.0, 0.0, 0.0)
+    assert d._fields == copy._fields == ("l1", "l2", "sconv")
+    assert not hasattr(d, "__dict__") and not hasattr(copy, "__dict__")
+
+
 def test_mel_distances_band_mismatch(rng):
     a = LogMelSpectrogram(rng.normal(-6, 1, (80, 4)))
     b = LogMelSpectrogram(rng.normal(-6, 1, (40, 4)))

@@ -268,6 +268,23 @@ def test_blob_rejects_garbage(tmp_path):
         read_blob(path)
 
 
+@pytest.mark.parametrize("edit, cause", [
+    (lambda b: b[:-2], "is cut short: 46 of 48 payload bytes"),  # stops inside a float32
+    (lambda b: b[:-4], "is cut short: 44 of 48 payload bytes"),
+    (lambda b: b + b"\0" * 5, "has 5 trailing bytes after its 3 x 4 values"),
+    (lambda b: b + b"\0" * 4, "has 4 trailing bytes after its 3 x 4 values"),
+], ids=["cut-in-a-float", "cut-at-a-float", "5-trailing", "4-trailing"])
+def test_blob_of_wrong_size_names_path_and_cause(tmp_path, rng, edit, cause):
+    """A payload cut inside a float32 raised numpy's own error without the
+    path, and extra bytes were reported as a truncated blob."""
+    path = tmp_path / "a.lmel"
+    write_blob(LogMelSpectrogram(rng.normal(-6, 1, (3, 4))), path)
+    path.write_bytes(edit(path.read_bytes()))
+    with pytest.raises(ValueError) as info:
+        read_blob(path)
+    assert str(info.value) == f"log-mel blob {path} {cause}"
+
+
 def test_stft_config_validation():
     with pytest.raises(ValueError):
         StftConfig(n_fft=512, win_length=1024)
