@@ -89,7 +89,8 @@ class PreprocessConfig:
     ``cap_long_silence`` selects what happens to silence runs longer than
     ``silence_trim_ms``: shorten them to exactly that length (default), or
     delete them entirely.  ``target_level_dbfs`` of None disables the level
-    normalization stage.
+    normalization stage; a target above 0 dBFS is an error, since samples
+    lie in [-1, 1].
     """
 
     target_rate: int = 22050
@@ -106,6 +107,8 @@ class PreprocessConfig:
             raise ValueError("target_rate must exceed twice the high-pass cutoff")
         if self.silence_trim_ms <= 0:
             raise ValueError("silence_trim_ms must be positive")
+        if self.target_level_dbfs is not None and self.target_level_dbfs > 0:
+            raise ValueError(f"target_level_dbfs must be at most 0 dBFS, got {self.target_level_dbfs:g}")
 
 
 def _read_wav(path) -> tuple[int, np.ndarray]:

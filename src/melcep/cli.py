@@ -423,7 +423,10 @@ def cmd_corpus_stats(args, run: RunConfig) -> int:
     done, failed = _run_batch(_stats_worker, jobs, args.workers, log_dir)
     corpora = [[record for (tag, _), record in done if tag == label] for label, _ in manifests]
     if not all(corpora):
-        print("error: no usable entries in one of the manifests", file=sys.stderr)
+        out.unlink(missing_ok=True)  # an earlier run's table would pass for this run's
+        for (label, _), corpus in zip(manifests, corpora):
+            if not corpus:
+                print(f"error: no usable entries in manifest {label}", file=sys.stderr)
         return EXIT_PARTIAL
 
     lines = ["measure,mean_a,std_a,median_a,count_a,mean_b,std_b,median_b,count_b,p_value"]

@@ -22,9 +22,6 @@ from .osmetrics import METRIC_NAMES, UtteranceMetrics
 from .spectral import LogMelSpectrogram, StftConfig
 
 _NORM_EPS = 1e-12
-# Elements in one row chunk of the l2 distance temporary (512 KB of
-# float64, small enough to stay in cache).
-_L2_CHUNK_ELEMS = 1 << 16
 # Largest n1 x n2 that ``dtw_align`` takes, checked before it allocates.  Its
 # float64 cost matrix measured 8.05-8.40 B/cell under tracemalloc (3000 x 3600
 # frames) at about 115 ns/cell (2-core KVM guest), so 2**27 cells cost about
@@ -158,24 +155,11 @@ def _pairwise_distance(a: np.ndarray, b: np.ndarray, distance: str, out: np.ndar
         np.maximum(out, 0.0, out=out)
         return
     if distance == "l2":
-        # Squared differences are added one dimension at a time, in dimension
-        # order, which are the additions of .sum(axis=2) over the full
-        # (len(a), len(b), dims) difference, without building it.  Row
-        # chunks bound the one rows x len(b) temporary.
-        at = np.ascontiguousarray(a.T)
-        bt = np.ascontiguousarray(b.T)
-        rows = max(1, _L2_CHUNK_ELEMS // b.shape[0])
-        tmp = np.empty((min(rows, a.shape[0]), b.shape[0]))
-        for s in range(0, a.shape[0], rows):
-            acc = out[s : s + rows]
-            sq = tmp[: acc.shape[0]]
-            np.subtract(at[0, s : s + rows, None], bt[0], out=acc)
-            np.square(acc, out=acc)
-            for c in range(1, at.shape[0]):
-                np.subtract(at[c, s : s + rows, None], bt[c], out=sq)
-                np.square(sq, out=sq)
-                np.add(acc, sq, out=acc)
-            np.sqrt(acc, out=acc)
+        # One row at a time: each frame's squared differences summed over
+        # the dimensions are the additions of the one-broadcast
+        # .sum(axis=2), pairwise order included, without building it.
+        for frame, row in zip(a, out):
+            np.sqrt(np.square(frame - b).sum(axis=1), out=row)
         return
     raise ValueError(f"unknown distance {distance!r}; expected 'cosine' or 'l2'")
 
@@ -200,7 +184,7 @@ def dtw_align(a, b, distance: str = "cosine") -> tuple[DtwPath, float]:
     Raises
     ------
     ValueError
-        On empty, mismatched or non-finite input, more than
+        On input that is not 2-D, empty, mismatched or non-finite, more than
         ``DTW_MAX_CELLS`` cells, an unknown distance, or when every path's
         cost overflows to infinity (l2 on huge values).
 
@@ -212,8 +196,10 @@ def dtw_align(a, b, distance: str = "cosine") -> tuple[DtwPath, float]:
     with the same comparisons.  Time is O(n1*n2) with no per-cell Python
     work; memory is the float64 matrix, about 8 bytes per cell.
     """
-    a = np.atleast_2d(np.asarray(a, dtype=np.float64))
-    b = np.atleast_2d(np.asarray(b, dtype=np.float64))
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if a.ndim != 2 or b.ndim != 2:
+        raise ValueError(f"expected 2-D frames x dims arrays, got shapes {a.shape} and {b.shape}")
     if a.size == 0 or b.size == 0:
         raise ValueError("empty input")
     if a.shape[1] != b.shape[1]:

@@ -142,7 +142,7 @@ class UtteranceMetrics:
         return {name: float(np.mean(getattr(self, name))) for name in METRIC_NAMES}
 
     def as_matrix(self) -> np.ndarray:
-        """Frames x metrics float matrix in METRIC_NAMES order, for curve alignment."""
+        """Frames x metrics float matrix in METRIC_NAMES order, as ``metric_curve_mae`` scores it."""
         return np.stack([getattr(self, name) for name in METRIC_NAMES], axis=1).astype(np.float64, copy=False)
 
     def to_csv(self, path) -> None:

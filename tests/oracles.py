@@ -107,8 +107,8 @@ def dtw_loop_reference(a, b, distance: str = "cosine") -> tuple[np.ndarray, floa
     (1,1)}, strict ``<`` so ties prefer diagonal, then up, then left), but
     returns the raw ``(i, j)`` pair array and the total cost.  The distance
     matrix is built in one broadcast, so it also checks that the package's
-    in-place builds (the cosine product, the l2 sum one dimension at a time)
-    keep the bits.
+    in-place builds (the cosine product, the l2 sum one row at a time) keep
+    the bits.
     A non-finite total raises; ``dtw_align`` rejects NaN/inf input before
     that point with its own message.
     """

@@ -209,6 +209,12 @@ def test_config_validation():
         PreprocessConfig(silence_trim_ms=0.0)
     with pytest.raises(ValueError):
         Waveform(np.zeros(10), 0)
+    with pytest.raises(ValueError, match="^target_level_dbfs must be at most 0 dBFS, got 0.5$"):
+        PreprocessConfig(target_level_dbfs=0.5)
+    with pytest.raises(ValueError, match="^Waveform samples must be one-dimensional$"):
+        Waveform(np.zeros((2, 10)), SR)
+    with pytest.raises(ValueError, match="^empty waveform$"):
+        preprocess(Waveform(np.zeros(0), SR))
 
 
 # --------------------------------------------------------------------------

@@ -389,6 +389,20 @@ def test_corpus_stats_writes_error_log(corpus, tmp_path):
     assert len(lines) == 1 and lines[0].startswith("b\tzz_missing\t")
 
 
+def test_corpus_stats_without_a_usable_entry_removes_an_earlier_table(corpus, tmp_path, capsys):
+    _, manifest, _ = corpus
+    out = tmp_path / "stats" / "stats.csv"
+    argv = ["corpus-stats", "--manifest-a", str(manifest), "--out", str(out), "--manifest-b"]
+    assert main(argv + [str(manifest)]) == 0
+    assert out.exists()
+    capsys.readouterr()
+    only_missing = tmp_path / "b.csv"
+    _write_manifest(only_missing, [{"utterance_id": "zz_missing", "ref_wav": str(tmp_path / "nope.wav")}])
+    assert main(argv + [str(only_missing)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err.splitlines()[-1] == "error: no usable entries in manifest b"
+
+
 def test_config_keys_are_the_section_fields_but_soft_tau(tmp_path):
     assert list(cli._CONFIG_KEYS) == [
         "target_rate", "silence_trim_ms", "silence_threshold_db", "highpass_hz", "target_level_dbfs",
@@ -402,6 +416,8 @@ def test_config_keys_are_the_section_fields_but_soft_tau(tmp_path):
     config = tmp_path / "cfg.txt"
     config.write_text("target_level_dbfs = off\n")
     assert load_run_config(config).preprocess.target_level_dbfs is None
+    config.write_text("target_level_dbfs = 0\n")  # the highest level a signal in [-1, 1] can reach
+    assert load_run_config(config).preprocess.target_level_dbfs == 0.0
     config.write_text("cutoff_q = none\n")
     with pytest.raises(UsageError, match="config line 1: bad value for cutoff_q: invalid literal for int"):
         load_run_config(config)
@@ -795,6 +811,10 @@ def test_pool_is_capped_at_entry_count(corpus, tmp_path, monkeypatch):
         ("f_max = 20000", []),
         ("n_fft = 1\nwin_length = 1\nhop = 1", []),
         ("soft_tau = 50", []),  # only croll95_soft reads it, and no subcommand calls that
+        ("target_level_dbfs = 7000", []),  # a gain that overflows float64
+        ("target_level_dbfs = 0.5", []),  # an RMS no signal in [-1, 1] can reach
+        ("n_fft = 1023\nwin_length = 1023", []),  # n_fft - hop odd
+        ("clamp_floor = 0", []),
     ],
 )
 def test_bad_config_values_exit_1_before_any_work(corpus, tmp_path, monkeypatch, config, flags):

@@ -204,9 +204,9 @@ def test_dtw_overflow_error_names_overflow():
         dtw_align(a, -a, "l2")
 
 
-@pytest.mark.parametrize("dims", range(1, 8))
+@pytest.mark.parametrize("dims", [*range(1, 9), 12, 80])
 def test_l2_distance_build_matches_broadcast(rng, dims):
-    # 700 x 300 frames: the build spans four row chunks, the last one short
+    # 700 x 300 frames, one row at a time; from 8 dims on, .sum adds pairwise
     a = rng.normal(0, 1, (700, dims))
     b = rng.normal(0, 1, (300, dims))
     out = np.empty((700, 300))
@@ -239,7 +239,7 @@ def test_dtw_peak_memory_per_cell(rng, dist, dims):
 
 @pytest.mark.parametrize("snr_db", [None, 40])
 def test_dtw_matches_loop_reference_large(rng, snr_db):
-    # 400 x 520 frames: the l2 distance spans several row chunks.
+    # 400 x 520 frames, cosine on 80 dims and l2 on 4.
     # snr_db=None draws syn independently of ref; a number makes syn a
     # random monotone warp of ref plus noise at that SNR, so the path
     # follows the warp as it does for a synthesised copy of a recording
@@ -251,6 +251,24 @@ def test_dtw_matches_loop_reference_large(rng, snr_db):
         syn = ref[warp] + rng.normal(0, 10.0 ** (-snr_db / 20), (520, 80))
     _assert_matches_loop(ref, syn, "cosine")
     _assert_matches_loop(ref[:, :4], syn[:, :4], "l2")
+
+
+@pytest.mark.parametrize("dims", [8, 80])
+def test_dtw_l2_matches_loop_reference_past_7_dims(rng, dims):
+    # from 8 dims on, the squared differences must be added in .sum's
+    # pairwise order for the costs to keep the loop's bits
+    for _ in range(20):
+        _assert_matches_loop(rng.normal(0, 1, (30, dims)), rng.normal(0, 1, (40, dims)), "l2")
+
+
+@pytest.mark.parametrize("a,b", [(np.arange(5.0), np.arange(5.0) + 1), (np.zeros((3, 2)), np.zeros(2)),
+                                 (np.zeros((2, 3, 2)), np.zeros((3, 2)))], ids=["1d-1d", "2d-1d", "3d-2d"])
+def test_dtw_rejects_input_that_is_not_2d(a, b):
+    message = f"expected 2-D frames x dims arrays, got shapes {a.shape} and {b.shape}"
+    for dist in ("cosine", "l2"):
+        with pytest.raises(ValueError) as got:
+            dtw_align(a, b, dist)
+        assert str(got.value) == message
 
 
 def test_dtw_cell_budget_fails_before_allocating(monkeypatch):

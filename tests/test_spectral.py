@@ -294,6 +294,13 @@ def test_stft_config_validation():
         MelConfig(f_min=500.0, f_max=100.0)
     with pytest.raises(ValueError):
         MelConfig(n_mels=1)
+    with pytest.raises(ValueError, match="^n_fft - hop must be even for symmetric padding$"):
+        StftConfig(n_fft=1023, win_length=1023)
+    for floor in (0.0, -1e-5):
+        with pytest.raises(ValueError, match="^clamp_floor must be positive$"):
+            MelConfig(clamp_floor=floor)
+    with pytest.raises(ValueError, match="^values must be a 2-D bands x frames matrix$"):
+        LogMelSpectrogram(np.zeros(80))
 
 
 def test_stft_window_shorter_than_fft(rng):
