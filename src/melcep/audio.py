@@ -89,8 +89,8 @@ class PreprocessConfig:
     ``cap_long_silence`` selects what happens to silence runs longer than
     ``silence_trim_ms``: shorten them to exactly that length (default), or
     delete them entirely.  ``target_level_dbfs`` of None disables the level
-    normalization stage; a target above 0 dBFS is an error, since samples
-    lie in [-1, 1].
+    normalization stage.  A target or a ``silence_threshold_db`` above
+    0 dBFS is an error, since samples lie in [-1, 1].
     """
 
     target_rate: int = 22050
@@ -107,6 +107,8 @@ class PreprocessConfig:
             raise ValueError("target_rate must exceed twice the high-pass cutoff")
         if self.silence_trim_ms <= 0:
             raise ValueError("silence_trim_ms must be positive")
+        if self.silence_threshold_db > 0:
+            raise ValueError(f"silence_threshold_db must be at most 0 dBFS, got {self.silence_threshold_db:g}")
         if self.target_level_dbfs is not None and self.target_level_dbfs > 0:
             raise ValueError(f"target_level_dbfs must be at most 0 dBFS, got {self.target_level_dbfs:g}")
 

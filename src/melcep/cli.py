@@ -101,8 +101,11 @@ class RunConfig:
     metric: MetricConfig = MetricConfig()
 
     def __post_init__(self):
-        # the mel cepstrum has n_mels // 2 + 1 quefrency bins
-        self.metric.resolve_cutoff(self.mel.n_mels // 2 + 1)
+        # the mel cepstrum has n_mels // 2 + 1 quefrency bins, and CSlope fits a line through bins 1 and up
+        n_quefrencies = self.mel.n_mels // 2 + 1
+        if n_quefrencies < 3:
+            raise ValueError(f"n_mels must be at least 4 for the 3 quefrency bins of CSlope, got {self.mel.n_mels}")
+        self.metric.resolve_cutoff(n_quefrencies)
         # not mel_filterbank: its 300 kB freed here gave forked workers a third more page faults
         spectral.mel_band_edges(self.mel, self.preprocess.target_rate, self.stft.n_fft)
 
@@ -192,8 +195,10 @@ def load_run_config(path=None) -> RunConfig:
 
 
 # An utterance id names its output files in the output directory and is one
-# tab-separated field of errors.log.
-_UNSAFE_ID_CHAR = re.compile(r"[/\\\x00-\x1f\x7f-\x9f]")
+# tab-separated field of errors.log, whose lines and fields a control character
+# in an id or a message would split.
+_CONTROL_CHAR = re.compile(r"[\x00-\x1f\x7f-\x9f]")
+_UNSAFE_ID_CHAR = re.compile(rf"[/\\]|{_CONTROL_CHAR.pattern}")
 
 
 def read_manifest(path, required=("utterance_id", "ref_wav")) -> list[ManifestEntry]:
@@ -306,7 +311,9 @@ def _stats_worker(payload) -> stats.UtteranceStats:
 
 
 def _message(exc: BaseException) -> str:
-    return f"{type(exc).__name__}: {exc}"
+    """``Type: text`` on one line: each control character, such as one in a
+    wav path, is written as its Python escape (``\\t``, ``\\n``, ``\\x1b``)."""
+    return _CONTROL_CHAR.sub(lambda m: repr(m.group())[1:-1], f"{type(exc).__name__}: {exc}")
 
 
 def _guarded(worker, payloads) -> list[tuple[str | None, object]]:
@@ -365,15 +372,16 @@ def _run_pool(worker, payloads, workers: int) -> list[tuple[str | None, object]]
 
 def _run_batch(worker, jobs, workers: int, log_dir: Path) -> tuple[list[tuple[tuple[str, ...], object]], bool]:
     """Run ``worker`` on each (key, payload) job, the key being the entry's
-    errors.log fields with the utterance id last.  Prints and logs every
-    failure; returns the (key, result) of each success and whether any failed."""
+    errors.log fields with the utterance id last.  Each failure's fields and
+    message go to stderr joined by ': ' and to errors.log joined by tabs;
+    returns the (key, result) of each success and whether any failed."""
     done, failures = [], []
     for (key, _), (err, result) in zip(jobs, _run_pool(worker, [payload for _, payload in jobs], workers)):
         if err is None:
             done.append((key, result))
         else:
             failures.append(key + (err,))
-            print(f"error: {key[-1]}: {err}", file=sys.stderr)
+            print("error: " + ": ".join(failures[-1]), file=sys.stderr)
     # each run owns errors.log: an earlier run's must not outlive a clean one
     log = log_dir / "errors.log"
     if failures:

@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+import wave
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from pathlib import Path
 
@@ -21,6 +22,9 @@ from melcep.spectral import read_blob
 from conftest import SR, speechlike, write_wav_bytes
 
 HOP_S = 256 / 22050
+# what subprocesses put on PYTHONPATH to import the melcep under test: a
+# checkout's src/, or the site-packages of an installed package
+PACKAGE_PARENT = str(Path(cli.__file__).resolve().parents[1])
 
 
 def _write_manifest(path, rows, fields=("utterance_id", "ref_wav", "syn_wav", "f0_ref", "f0_syn", "token_count", "speaker_id")):
@@ -121,6 +125,46 @@ def test_features_silent_entry_partial_failure(corpus, tmp_path):
     log = (out / "errors.log").read_text()
     assert "zz_silent" in log and "silent" in log.lower()
     assert (out / f"{rows[0]['utterance_id']}.lmel").exists()
+
+
+def test_unreadable_wavs_fail_their_own_entries(corpus, tmp_path):
+    """A 24-bit PCM wav and a wav cut inside its fmt chunk each fail their
+    own entry with a ValueError that names the file; the good entry runs."""
+    _, _, rows = corpus
+    pcm24, cut = tmp_path / "pcm24.wav", tmp_path / "cut.wav"
+    with wave.open(str(pcm24), "wb") as w:
+        w.setnchannels(1)
+        w.setsampwidth(3)
+        w.setframerate(16000)
+        w.writeframes(bytes(3 * 1600))
+    cut.write_bytes(Path(rows[0]["ref_wav"]).read_bytes()[:30])
+    manifest = tmp_path / "m.csv"
+    _write_manifest(manifest, [dict(rows[0]), {"utterance_id": "zz_pcm24", "ref_wav": str(pcm24)},
+                               {"utterance_id": "zz_cut", "ref_wav": str(cut)}])
+    out = tmp_path / "out"
+    assert main(["features", "--manifest", str(manifest), "--out", str(out)]) == 2
+    uid = rows[0]["utterance_id"]
+    assert (out / f"{uid}.lmel").stat().st_size > 0 and (out / f"{uid}.metrics.csv").stat().st_size > 0
+    assert (out / "errors.log").read_text().splitlines() == [
+        f"zz_cut\tValueError: unreadable WAV file {cut}: fmt chunk of 10 bytes; it needs 16",
+        f"zz_pcm24\tValueError: unreadable WAV file {pcm24}: unsupported encoding: format tag 0x1, 24 bits, "
+        "1 channel(s), 3-byte blocks; expected PCM16 or float32",
+    ]
+
+
+def test_control_characters_in_a_message_are_escaped(corpus, tmp_path, capsys):
+    """A tab and a newline in a wav path split the entry's errors.log record
+    into two lines of three fields; they are written as Python escapes."""
+    _, _, rows = corpus
+    weird = tmp_path / "we\tird\nname.wav"
+    weird.write_bytes(Path(rows[0]["ref_wav"]).read_bytes()[:30])
+    manifest = tmp_path / "m.csv"
+    _write_manifest(manifest, [dict(rows[0]), {"utterance_id": "u1", "ref_wav": str(weird)}])
+    out = tmp_path / "out"
+    assert main(["features", "--manifest", str(manifest), "--out", str(out)]) == 2
+    escaped = f"ValueError: unreadable WAV file {tmp_path}/we\\tird\\nname.wav: fmt chunk of 10 bytes; it needs 16"
+    assert (out / "errors.log").read_text() == f"u1\t{escaped}\n"
+    assert capsys.readouterr().err == f"error: u1: {escaped}\n"
 
 
 def test_empty_manifest_exit_1(tmp_path, capsys):
@@ -387,6 +431,23 @@ def test_corpus_stats_writes_error_log(corpus, tmp_path):
     assert not out.exists()
     lines = (out.parent / "errors.log").read_text().splitlines()
     assert len(lines) == 1 and lines[0].startswith("b\tzz_missing\t")
+
+
+def test_corpus_stats_stderr_names_the_manifest(corpus, tmp_path, capsys):
+    """The same id failing in both manifests printed two lines that only the
+    file name told apart; stderr carries the errors.log fields, the manifest
+    tag first."""
+    _, _, rows = corpus
+    argv = ["corpus-stats", "--out", str(tmp_path / "stats.csv")]
+    for tag in ("a", "b"):
+        _write_manifest(tmp_path / f"{tag}.csv", [dict(r) for r in rows] +
+                        [{"utterance_id": "u1", "ref_wav": str(tmp_path / f"missing_{tag}.wav")}])
+        argv += [f"--manifest-{tag}", str(tmp_path / f"{tag}.csv")]
+    assert main(argv) == 2
+    log = (tmp_path / "errors.log").read_text().splitlines()
+    assert [line.split("\t")[:2] for line in log] == [["a", "u1"], ["b", "u1"]]
+    assert capsys.readouterr().err.splitlines() == ["error: " + line.replace("\t", ": ") for line in log]
+    assert "missing_a.wav" in log[0] and "missing_b.wav" in log[1]
 
 
 def test_corpus_stats_without_a_usable_entry_removes_an_earlier_table(corpus, tmp_path, capsys):
@@ -815,6 +876,9 @@ def test_pool_is_capped_at_entry_count(corpus, tmp_path, monkeypatch):
         ("target_level_dbfs = 0.5", []),  # an RMS no signal in [-1, 1] can reach
         ("n_fft = 1023\nwin_length = 1023", []),  # n_fft - hop odd
         ("clamp_floor = 0", []),
+        ("n_mels = 2\ncutoff_q = 1", []),  # a 2-point Hann window is zero: every frame degenerate
+        ("n_mels = 3\ncutoff_q = 1", []),  # 2 quefrency bins, too few for CSlope's line
+        ("silence_threshold_db = 5", []),  # no frame of samples in [-1, 1] reads above 0 dBFS
     ],
 )
 def test_bad_config_values_exit_1_before_any_work(corpus, tmp_path, monkeypatch, config, flags):
@@ -827,6 +891,32 @@ def test_bad_config_values_exit_1_before_any_work(corpus, tmp_path, monkeypatch,
     assert main(["features", "--manifest", str(manifest), "--out", str(out), "--config", str(cfg)] + flags) == 1
     assert not out.exists()
     assert loaded == []
+
+
+@pytest.mark.parametrize("config, message", [
+    ("target_level_dbfs = 7000", "target_level_dbfs must be at most 0 dBFS, got 7000"),
+    ("silence_threshold_db = 5", "silence_threshold_db must be at most 0 dBFS, got 5"),
+    ("n_mels = 3\ncutoff_q = 1", "n_mels must be at least 4 for the 3 quefrency bins of CSlope, got 3"),
+])
+def test_config_error_names_its_key(corpus, tmp_path, capsys, config, message):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(config + "\n")
+    out = tmp_path / "out"
+    assert main(["features", "--manifest", str(corpus[1]), "--out", str(out), "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == f"error: invalid configuration: {message}\n"
+    assert not out.exists()
+
+
+def test_fewest_mel_bands_and_loudest_silence_threshold_load(corpus, tmp_path):
+    """n_mels 4 gives CSlope its 3 quefrency bins, and a 0 dBFS gate is the
+    loudest that samples in [-1, 1] can pass."""
+    config = tmp_path / "cfg.txt"
+    config.write_text("n_mels = 4\ncutoff_q = 1\nsilence_threshold_db = 0\n")
+    run = load_run_config(config)
+    assert (run.mel.n_mels, run.metric.cutoff_q, run.preprocess.silence_threshold_db) == (4, 1, 0.0)
+    config.write_text("n_mels = 4\ncutoff_q = 1\n")
+    out = tmp_path / "out"
+    assert main(["features", "--manifest", str(corpus[1]), "--out", str(out), "--config", str(config)]) == 0
 
 
 @pytest.mark.parametrize(
@@ -976,10 +1066,9 @@ def test_runtime_imports_no_scipy():
     """Importing melcep loads no scipy and needs no ctypes: the allocator
     policy imports it when ``main`` runs.  numpy imports ctypes when it can,
     so ctypes is blocked rather than looked for in ``sys.modules``."""
-    src = Path(__file__).resolve().parents[1] / "src"
     code = ("import sys; sys.modules['ctypes'] = None; import melcep, melcep.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    env = dict(os.environ, PYTHONPATH=str(src))
+    env = dict(os.environ, PYTHONPATH=PACKAGE_PARENT)
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
@@ -1035,7 +1124,7 @@ def test_second_batch_reuses_freed_heap(tmp_path):
     code = (f"import resource; from melcep.cli import main; argv = {argv!r}\n"
             "first = main(argv); before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
             "second = main(argv); print(first, second, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)")
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    env = dict(os.environ, PYTHONPATH=PACKAGE_PARENT)
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     first, second, faults = map(int, proc.stdout.split())
@@ -1139,7 +1228,7 @@ def test_batch_run_leaves_numpy_ma_unimported(corpus, tmp_path, command):
     argv = (["compare", "--manifest", m, "--out", str(tmp_path / "cmp")] if command == "compare"
             else ["corpus-stats", "--manifest-a", m, "--manifest-b", m, "--out", str(tmp_path / "stats.csv")])
     code = f"import sys; from melcep.cli import main; rc = main({argv!r}); print(rc, 'numpy.ma' in sys.modules)"
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    env = dict(os.environ, PYTHONPATH=PACKAGE_PARENT)
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["0", "False"]
@@ -1154,7 +1243,7 @@ def test_serial_run_leaves_the_pool_unimported(corpus, tmp_path, command):
             else [command, "--manifest-a", m, "--manifest-b", m, "--out", str(tmp_path / "stats.csv")])
     code = (f"import sys; from melcep.cli import main; rc = main({argv!r}); "
             "print(rc, sorted({'concurrent.futures.process', 'multiprocessing'} & set(sys.modules)))")
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    env = dict(os.environ, PYTHONPATH=PACKAGE_PARENT)
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["0", "[]"]
