@@ -24,6 +24,11 @@ GATE_HOP_S = 0.010
 # content as removed.
 HIGHPASS_ORDER = 6
 
+# Lowest high-pass cutoff: from here up the block filter is within 1e-9 of
+# sosfiltfilt; far below it the poles round to z = 1 and the design stops
+# being finite.
+HIGHPASS_MIN_HZ = 10.0
+
 _DB_FLOOR = 1e-12
 
 # The high-pass runs in blocks of _HP_BLOCK samples, _HP_SPAN samples at a time.
@@ -44,7 +49,9 @@ class SilentSignalError(ValueError):
 
 @dataclass
 class Waveform:
-    """Mono audio samples in [-1, 1] with their sample rate.
+    """Mono audio samples with their sample rate, full scale 1.0.  PCM16
+    reads into [-1, 1); float32 samples are taken as stored, so they may lie
+    above full scale.
 
     ``removed`` holds the (start, length) of each stretch the silence cap
     took out, in samples of the signal before it and in order; ``preprocess``
@@ -89,8 +96,10 @@ class PreprocessConfig:
     ``cap_long_silence`` selects what happens to silence runs longer than
     ``silence_trim_ms``: shorten them to exactly that length (default), or
     delete them entirely.  ``target_level_dbfs`` of None disables the level
-    normalization stage.  A target or a ``silence_threshold_db`` above
-    0 dBFS is an error, since samples lie in [-1, 1].
+    normalization stage.  Both levels are in dB relative to full scale
+    (an RMS of 1.0), and above 0 dBFS each is an error: a target there
+    leaves full scale, and a gate there calls a full-scale signal silent.
+    ``highpass_hz`` is at least ``HIGHPASS_MIN_HZ``.
     """
 
     target_rate: int = 22050
@@ -101,8 +110,8 @@ class PreprocessConfig:
     cap_long_silence: bool = True
 
     def __post_init__(self):
-        if self.highpass_hz <= 0:
-            raise ValueError("highpass_hz must be positive")
+        if self.highpass_hz < HIGHPASS_MIN_HZ:
+            raise ValueError(f"highpass_hz must be at least {HIGHPASS_MIN_HZ:g} Hz, got {self.highpass_hz:g}")
         if self.target_rate <= 2 * self.highpass_hz:
             raise ValueError("target_rate must exceed twice the high-pass cutoff")
         if self.silence_trim_ms <= 0:
@@ -159,8 +168,9 @@ def _read_wav(path) -> tuple[int, np.ndarray]:
 
 def load_wav(path) -> Waveform:
     """Read a WAV file as a mono Waveform: channels are averaged, PCM16 is
-    scaled to [-1, 1] and the sample rate is passed through unchanged
-    (resampling is the preprocessing stage's job).
+    scaled to [-1, 1), float32 is taken as stored, unclipped, and the sample
+    rate is passed through unchanged (resampling is the preprocessing
+    stage's job).
 
     The file is ``RIFF``...``WAVE``, not RIFX or RF64.  Its ``fmt `` chunk has
     16 bytes or more (``WAVE_FORMAT_EXTENSIBLE`` with cbSize >= 22 and the

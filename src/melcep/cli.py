@@ -15,6 +15,7 @@ never abort a batch.  Exit codes: 0 success, 1 usage or config error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import math
 import os
@@ -281,21 +282,20 @@ def _analyze(entry: ManifestEntry, wav_path, f0_path, run: RunConfig):
 
 
 def _features_worker(payload) -> None:
-    entry, run, out_dir = payload
+    entry, run, (blob_path, csv_path) = payload
     mel, bundle = _analyze(entry, entry.ref_wav, None, run)
-    spectral.write_blob(mel, Path(out_dir) / f"{entry.utterance_id}.lmel")
-    bundle.metrics.to_csv(Path(out_dir) / f"{entry.utterance_id}.metrics.csv")
+    spectral.write_blob(mel, blob_path)
+    bundle.metrics.to_csv(csv_path)
 
 
 def _compare_worker(payload) -> cmp.ComparisonReport:
-    entry, run, out_dir = payload
+    entry, run, (report_path,) = payload
     if entry.syn_wav is None:
         raise ValueError("entry has no syn_wav")
     ref_mel, ref_bundle = _analyze(entry, entry.ref_wav, entry.f0_ref, run)
     syn_mel, syn_bundle = _analyze(entry, entry.syn_wav, entry.f0_syn, run)
     report = cmp.build_report(ref_mel, syn_mel, ref_bundle, syn_bundle)
-    path = Path(out_dir) / f"{entry.utterance_id}.report.json"
-    path.write_text(report.to_json() + "\n", encoding="utf-8")
+    report_path.write_text(report.to_json() + "\n", encoding="utf-8")
     return report
 
 
@@ -371,17 +371,23 @@ def _run_pool(worker, payloads, workers: int) -> list[tuple[str | None, object]]
 
 
 def _run_batch(worker, jobs, workers: int, log_dir: Path) -> tuple[list[tuple[tuple[str, ...], object]], bool]:
-    """Run ``worker`` on each (key, payload) job, the key being the entry's
-    errors.log fields with the utterance id last.  Each failure's fields and
-    message go to stderr joined by ': ' and to errors.log joined by tabs;
-    returns the (key, result) of each success and whether any failed."""
+    """Run ``worker`` on each (key, outputs, payload) job, the key being the
+    entry's errors.log fields with the utterance id last and ``outputs`` the
+    paths of the files the entry writes.  Each failure's fields and message
+    go to stderr joined by ': ' and to errors.log joined by tabs, and its
+    outputs are removed; returns the (key, result) of each success and
+    whether any failed."""
     done, failures = [], []
-    for (key, _), (err, result) in zip(jobs, _run_pool(worker, [payload for _, payload in jobs], workers)):
+    for (key, outputs, _), (err, result) in zip(jobs, _run_pool(worker, [payload for _, _, payload in jobs], workers)):
         if err is None:
             done.append((key, result))
-        else:
-            failures.append(key + (err,))
-            print("error: " + ": ".join(failures[-1]), file=sys.stderr)
+            continue
+        failures.append(key + (err,))
+        print("error: " + ": ".join(failures[-1]), file=sys.stderr)
+        # written before the failure, or by an earlier run: either would pass for this run's
+        for path in outputs:
+            with contextlib.suppress(OSError):  # such as a directory in the way, which failed the entry
+                path.unlink()
     # each run owns errors.log: an earlier run's must not outlive a clean one
     log = log_dir / "errors.log"
     if failures:
@@ -401,16 +407,27 @@ def _out_dir(path) -> Path:
     return Path(path)
 
 
+def _output_jobs(entries, run: RunConfig, out_dir: Path, *suffixes: str) -> list:
+    """One job per entry, whose payload ends with its ``<id><suffix>`` paths in ``out_dir``."""
+    jobs = []
+    for e in entries:
+        outputs = tuple(out_dir / f"{e.utterance_id}{suffix}" for suffix in suffixes)
+        jobs.append(((e.utterance_id,), outputs, (e, run, outputs)))
+    return jobs
+
+
 def cmd_features(args, run: RunConfig) -> int:
-    jobs = [((e.utterance_id,), (e, run, args.out)) for e in read_manifest(args.manifest)]
-    _, failed = _run_batch(_features_worker, jobs, args.workers, _out_dir(args.out))
+    entries = read_manifest(args.manifest)
+    out_dir = _out_dir(args.out)
+    jobs = _output_jobs(entries, run, out_dir, ".lmel", ".metrics.csv")
+    _, failed = _run_batch(_features_worker, jobs, args.workers, out_dir)
     return EXIT_PARTIAL if failed else EXIT_OK
 
 
 def cmd_compare(args, run: RunConfig) -> int:
     entries = read_manifest(args.manifest, required=("utterance_id", "ref_wav", "syn_wav"))
-    jobs = [((e.utterance_id,), (e, run, args.out)) for e in entries]
     out_dir = _out_dir(args.out)
+    jobs = _output_jobs(entries, run, out_dir, ".report.json")
     done, failed = _run_batch(_compare_worker, jobs, args.workers, out_dir)
     reports = [report for _, report in done]
     lines = ["measure,mean,std,count"]
@@ -423,7 +440,7 @@ def cmd_compare(args, run: RunConfig) -> int:
 
 def cmd_corpus_stats(args, run: RunConfig) -> int:
     manifests = (("a", read_manifest(args.manifest_a)), ("b", read_manifest(args.manifest_b)))
-    jobs = [((label, e.utterance_id), (e, run)) for label, entries in manifests for e in entries]
+    jobs = [((label, e.utterance_id), (), (e, run)) for label, entries in manifests for e in entries]
     out = Path(args.out)
     log_dir = _out_dir(out.parent)
     if out.is_dir():

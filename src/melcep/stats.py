@@ -166,8 +166,10 @@ def mann_whitney_u(x, y) -> tuple[float, float]:
     if np.isnan(x).any() or np.isnan(y).any():
         raise ValueError("NaN in a sample: the test is undefined")
     u, ranked = _u_statistic(x, y)
-    ordered = np.sort(np.concatenate([x, y]))
-    has_ties = bool((ordered[1:] == ordered[:-1]).any())
+    # equal values share a midrank, and distinct values never do; unlike a
+    # plain np.unique, one with return_counts leaves numpy.ma unimported
+    distinct, _ = np.unique(ranked, return_counts=True)
+    has_ties = distinct.size < ranked.size
     if not has_ties and n1 + n2 <= EXACT_MAX_N:
         return float(u), exact_p(u, n1, n2)
     return float(u), normal_p(u, n1, n2, ranked)

@@ -197,6 +197,16 @@ def test_preprocess_normalization_disabled():
     assert abs(rms_dbfs(out.samples) - (-10.0)) < 0.1
 
 
+def test_float32_above_full_scale_is_taken_as_stored(tmp_path):
+    # full scale is 1.0: this sine's RMS is +9 dBFS, and the gain still lands it at -22 dBFS
+    x = 4.0 * np.sin(2.0 * np.pi * 440.0 * np.arange(SR) / SR)
+    path = tmp_path / "loud.wav"
+    write_wav_bytes(path, x, SR, "float32")
+    w = load_wav(path)
+    assert np.array_equal(w.samples, x.astype(np.float32))
+    assert rms_dbfs(preprocess(w).samples) == pytest.approx(-22.0, abs=1e-9)
+
+
 def test_preprocess_output_finite(rng):
     out = preprocess(Waveform(speechlike(rng, 0.7), SR))
     assert np.isfinite(out.samples).all()
@@ -211,6 +221,9 @@ def test_config_validation():
         Waveform(np.zeros(10), 0)
     with pytest.raises(ValueError, match="^target_level_dbfs must be at most 0 dBFS, got 0.5$"):
         PreprocessConfig(target_level_dbfs=0.5)
+    with pytest.raises(ValueError, match="^highpass_hz must be at least 10 Hz, got 9.99$"):
+        PreprocessConfig(highpass_hz=9.99)
+    assert PreprocessConfig(highpass_hz=audio.HIGHPASS_MIN_HZ).highpass_hz == 10.0
     with pytest.raises(ValueError, match="^Waveform samples must be one-dimensional$"):
         Waveform(np.zeros((2, 10)), SR)
     with pytest.raises(ValueError, match="^empty waveform$"):

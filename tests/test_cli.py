@@ -477,7 +477,7 @@ def test_config_keys_are_the_section_fields_but_soft_tau(tmp_path):
     config = tmp_path / "cfg.txt"
     config.write_text("target_level_dbfs = off\n")
     assert load_run_config(config).preprocess.target_level_dbfs is None
-    config.write_text("target_level_dbfs = 0\n")  # the highest level a signal in [-1, 1] can reach
+    config.write_text("target_level_dbfs = 0\n")  # full scale, the highest target accepted
     assert load_run_config(config).preprocess.target_level_dbfs == 0.0
     config.write_text("cutoff_q = none\n")
     with pytest.raises(UsageError, match="config line 1: bad value for cutoff_q: invalid literal for int"):
@@ -873,12 +873,13 @@ def test_pool_is_capped_at_entry_count(corpus, tmp_path, monkeypatch):
         ("n_fft = 1\nwin_length = 1\nhop = 1", []),
         ("soft_tau = 50", []),  # only croll95_soft reads it, and no subcommand calls that
         ("target_level_dbfs = 7000", []),  # a gain that overflows float64
-        ("target_level_dbfs = 0.5", []),  # an RMS no signal in [-1, 1] can reach
+        ("target_level_dbfs = 0.5", []),  # above full scale
         ("n_fft = 1023\nwin_length = 1023", []),  # n_fft - hop odd
         ("clamp_floor = 0", []),
         ("n_mels = 2\ncutoff_q = 1", []),  # a 2-point Hann window is zero: every frame degenerate
         ("n_mels = 3\ncutoff_q = 1", []),  # 2 quefrency bins, too few for CSlope's line
-        ("silence_threshold_db = 5", []),  # no frame of samples in [-1, 1] reads above 0 dBFS
+        ("silence_threshold_db = 5", []),  # above full scale: a full-scale signal would read silent
+        ("highpass_hz = 1e-9", []),  # below 10 Hz, where the filter leaves scipy's; here it is not finite
     ],
 )
 def test_bad_config_values_exit_1_before_any_work(corpus, tmp_path, monkeypatch, config, flags):
@@ -897,6 +898,7 @@ def test_bad_config_values_exit_1_before_any_work(corpus, tmp_path, monkeypatch,
     ("target_level_dbfs = 7000", "target_level_dbfs must be at most 0 dBFS, got 7000"),
     ("silence_threshold_db = 5", "silence_threshold_db must be at most 0 dBFS, got 5"),
     ("n_mels = 3\ncutoff_q = 1", "n_mels must be at least 4 for the 3 quefrency bins of CSlope, got 3"),
+    ("highpass_hz = 1e-9", "highpass_hz must be at least 10 Hz, got 1e-09"),
 ])
 def test_config_error_names_its_key(corpus, tmp_path, capsys, config, message):
     cfg = tmp_path / "cfg.txt"
@@ -908,8 +910,8 @@ def test_config_error_names_its_key(corpus, tmp_path, capsys, config, message):
 
 
 def test_fewest_mel_bands_and_loudest_silence_threshold_load(corpus, tmp_path):
-    """n_mels 4 gives CSlope its 3 quefrency bins, and a 0 dBFS gate is the
-    loudest that samples in [-1, 1] can pass."""
+    """n_mels 4 gives CSlope its 3 quefrency bins, and a 0 dBFS gate, full
+    scale, is the loudest accepted."""
     config = tmp_path / "cfg.txt"
     config.write_text("n_mels = 4\ncutoff_q = 1\nsilence_threshold_db = 0\n")
     run = load_run_config(config)
@@ -1135,8 +1137,8 @@ def test_second_batch_reuses_freed_heap(tmp_path):
 def test_dying_worker_fails_unfinished_entries(tmp_path, monkeypatch, capsys):
     """A worker killed mid-batch (here ``os._exit``) must not abort the batch:
     finished entries keep their outputs, every entry without a result is in
-    errors.log, the run exits 2, and nothing runs in more than the 2 worker
-    processes (no retry in the parent)."""
+    errors.log and has no outputs, the run exits 2, and nothing runs in more
+    than the 2 worker processes (no retry in the parent)."""
     if multiprocessing.get_start_method() != "fork":
         pytest.skip("the dying entry reaches the workers through a forked copy of the module")
     rng = np.random.default_rng(7)
@@ -1167,6 +1169,7 @@ def test_dying_worker_fails_unfinished_entries(tmp_path, monkeypatch, capsys):
         utt = f"utt{k}"
         if utt in failed:
             assert f"error: {utt}: BrokenProcessPool: " in err
+            assert not list(out.glob(f"{utt}.*"))
         else:
             assert read_blob(out / f"{utt}.lmel").n_frames > 0
             assert (out / f"{utt}.metrics.csv").read_text().startswith("frame_index,")
@@ -1176,9 +1179,9 @@ def test_dying_worker_fails_unfinished_entries(tmp_path, monkeypatch, capsys):
 
 def test_dying_worker_fails_its_whole_chunk(tmp_path, monkeypatch, capsys):
     """When a worker dies inside a chunk of several entries, every entry of
-    that chunk fails, also the one that ran before the crash; chunks that
-    returned keep their outputs, the run exits 2, and no entry runs in the
-    parent."""
+    that chunk fails and loses its outputs, also the one that ran before the
+    crash; chunks that returned keep their outputs, the run exits 2, and no
+    entry runs in the parent."""
     if multiprocessing.get_start_method() != "fork":
         pytest.skip("the dying entry reaches the workers through a forked copy of the module")
     rng = np.random.default_rng(8)
@@ -1214,6 +1217,7 @@ def test_dying_worker_fails_its_whole_chunk(tmp_path, monkeypatch, capsys):
         utt = row["utterance_id"]
         if utt in failed:
             assert f"error: {utt}: BrokenProcessPool: " in err
+            assert not list(out.glob(f"{utt}.*"))
         else:
             assert read_blob(out / f"{utt}.lmel").n_frames > 0
             assert (out / f"{utt}.metrics.csv").read_text().startswith("frame_index,")
@@ -1441,3 +1445,27 @@ def test_clean_run_removes_an_earlier_errors_log(corpus, tmp_path, command):
     assert run(broken) == 2 and "zz_missing" in log.read_text()
     assert run(manifest) == 0
     assert not log.exists()
+
+
+@pytest.mark.parametrize("command, suffixes", [("features", (".lmel", ".metrics.csv")), ("compare", (".report.json",))])
+def test_failed_entry_leaves_no_outputs(corpus, tmp_path, command, suffixes):
+    """A failed entry's output files are removed, also those of an earlier
+    run, which would pass for this run's; a directory in their way stays."""
+    wav = tmp_path / "u1.wav"
+    shutil.copy(corpus[2][0]["ref_wav"], wav)
+    manifest = tmp_path / "m.csv"
+    _write_manifest(manifest, [{"utterance_id": "u1", "ref_wav": str(wav), "syn_wav": str(wav)}],
+                    fields=("utterance_id", "ref_wav", "syn_wav"))
+    out = tmp_path / "out"
+    argv = [command, "--manifest", str(manifest), "--out", str(out)]
+    assert main(argv) == 0
+    assert all((out / f"u1{suffix}").stat().st_size > 0 for suffix in suffixes)
+    wav.rename(tmp_path / "gone.wav")
+    assert main(argv) == 2
+    assert (out / "errors.log").read_text().startswith("u1\tFileNotFoundError: ")
+    assert not list(out.glob("u1.*"))
+    (tmp_path / "gone.wav").rename(wav)
+    (out / f"u1{suffixes[0]}").mkdir()
+    assert main(argv) == 2
+    assert (out / "errors.log").read_text().startswith("u1\tIsADirectoryError: ")
+    assert [path.name for path in out.glob("u1.*")] == [f"u1{suffixes[0]}"]

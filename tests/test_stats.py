@@ -128,6 +128,14 @@ def test_exact_branch_bounds():
     assert 0.0 < p <= 1.0
 
 
+def test_signed_zeros_and_infinities_are_ties():
+    # -0.0 == 0.0 and inf == inf, so these 10 values take the normal branch
+    x, y = [0.0, 5.0, 6.0, 7.0, math.inf], [-0.0, 1.0, 2.0, 3.0, math.inf]
+    u, p = mann_whitney_u(x, y)
+    assert u == 17.0
+    assert p == normal_p(u, 5, 5, rankdata(x + y)) != exact_p(u, 5, 5)
+
+
 def test_summarize_single_utterance():
     s = summarize([UtteranceStats("u1", duration_s=4.0)])
     m = s.measures["duration_s"]
