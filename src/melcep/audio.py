@@ -93,9 +93,8 @@ class Waveform:
 class PreprocessConfig:
     """Parameters of the preprocessing chain.
 
-    ``cap_long_silence`` selects what happens to silence runs longer than
-    ``silence_trim_ms``: shorten them to exactly that length (default), or
-    delete them entirely.  ``target_level_dbfs`` of None disables the level
+    Silence runs longer than ``silence_trim_ms`` are shortened to exactly
+    that length.  ``target_level_dbfs`` of None disables the level
     normalization stage.  Both levels are in dB relative to full scale
     (an RMS of 1.0), and above 0 dBFS each is an error: a target there
     leaves full scale, and a gate there calls a full-scale signal silent.
@@ -107,7 +106,6 @@ class PreprocessConfig:
     silence_threshold_db: float = -45.0
     highpass_hz: float = 60.0
     target_level_dbfs: float | None = -22.0
-    cap_long_silence: bool = True
 
     def __post_init__(self):
         if self.highpass_hz < HIGHPASS_MIN_HZ:
@@ -234,17 +232,15 @@ def _silent_runs(mask: np.ndarray):
     yield from zip(starts, ends)
 
 
-def _cap_silences(x: np.ndarray, mask: np.ndarray, max_len: int, cap: bool) -> tuple[np.ndarray, np.ndarray]:
-    """``x`` with its silence runs longer than ``max_len`` capped to it (or
-    deleted), and the (start, length) of each stretch taken out, in order."""
+def _cap_silences(x: np.ndarray, mask: np.ndarray, max_len: int) -> tuple[np.ndarray, np.ndarray]:
+    """``x`` with its silence runs longer than ``max_len`` capped to it, and
+    the (start, length) of each stretch taken out, in order."""
     keep = np.ones(x.size, dtype=bool)
     removed = []
     for start, end in _silent_runs(mask):
         if end - start <= max_len:
             continue
-        if not cap:
-            cut = start, end
-        elif start == 0:
+        if start == 0:
             # leading run: keep the tail adjacent to speech
             cut = start, end - max_len
         elif end == x.size:
@@ -424,7 +420,7 @@ def preprocess(w: Waveform, cfg: PreprocessConfig = PreprocessConfig()) -> Wavef
     if mask.all():
         raise SilentSignalError("signal entirely silent after trimming")
     max_len = int(round(cfg.silence_trim_ms * rate / 1000.0))
-    x, removed = _cap_silences(x, mask, max_len, cfg.cap_long_silence)
+    x, removed = _cap_silences(x, mask, max_len)
 
     x = _highpass(x, rate, cfg.highpass_hz)
 

@@ -41,7 +41,7 @@ def mel_window(n_bands: int) -> np.ndarray:
     return np.hanning(n_bands)
 
 
-def mel_cepstrogram(s: LogMelSpectrogram | np.ndarray) -> MelCepstrogram:
+def mel_cepstrogram(s: LogMelSpectrogram) -> MelCepstrogram:
     """Transform a log-mel spectrogram along the mel axis, frame by frame.
 
     Per frame: subtract the mean over bands, multiply by a length-B symmetric
@@ -52,7 +52,7 @@ def mel_cepstrogram(s: LogMelSpectrogram | np.ndarray) -> MelCepstrogram:
     a small Hann-induced DC residual; it is excluded from all metrics, which
     sum over q >= 1.
     """
-    values = s.values if isinstance(s, LogMelSpectrogram) else np.asarray(s, dtype=np.float64)
+    values = s.values
     n_bands = values.shape[0]
     if n_bands < 2:
         raise ValueError("need at least 2 mel bands")

@@ -107,17 +107,8 @@ class RunConfig:
         if n_quefrencies < 3:
             raise ValueError(f"n_mels must be at least 4 for the 3 quefrency bins of CSlope, got {self.mel.n_mels}")
         self.metric.resolve_cutoff(n_quefrencies)
-        # not mel_filterbank: its 300 kB freed here gave forked workers a third more page faults
+        # the band edges alone: mel_filterbank's 300 kB, freed here before the pool forks, would cost each worker faults
         spectral.mel_band_edges(self.mel, self.preprocess.target_rate, self.stft.n_fft)
-
-
-def _parse_bool(value: str) -> bool:
-    v = value.lower()
-    if v in ("1", "true", "yes"):
-        return True
-    if v in ("0", "false", "no"):
-        return False
-    raise ValueError(f"expected 1/true/yes or 0/false/no, got {value!r}")
 
 
 def _finite_float(value: str) -> float:
@@ -152,8 +143,7 @@ _PARSERS = {
     "int": int,
     "int | None": int,
     "float": _finite_float,
-    "float | None": lambda v: None if v.lower() in ("none", "off") else _finite_float(v),
-    "bool": _parse_bool,
+    "float | None": lambda v: None if v.lower() == "none" else _finite_float(v),
 }
 _CONFIG_KEYS = {
     f.name: (section.name, _PARSERS[f.type])
@@ -327,9 +317,8 @@ def _guarded(worker, payloads) -> list[tuple[str | None, object]]:
     return out
 
 
-# Pool chunks per worker process.  1, 2, 4 and 8 cost the same within noise on
-# 80 short utterances with 2 workers (2-core guest); more chunks even out
-# entries of unequal length, fewer pay less dispatch.
+# Pool chunks per worker process: more chunks even out entries of unequal
+# length, fewer pay less dispatch.
 CHUNKS_PER_WORKER = 4
 
 
@@ -355,7 +344,7 @@ def _run_pool(worker, payloads, workers: int) -> list[tuple[str | None, object]]
     """
     if workers <= 1 or len(payloads) <= 1:
         return _guarded(worker, payloads)
-    # imported here, as a serial run would pay about 30 ms for it
+    # imported here, so that a serial run does not pay for it
     from concurrent.futures import ProcessPoolExecutor
 
     chunks = _chunks(payloads, workers)

@@ -23,12 +23,11 @@ from .spectral import LogMelSpectrogram, StftConfig
 
 _NORM_EPS = 1e-12
 # Largest n1 x n2 that ``dtw_align`` takes, checked before it allocates.  Its
-# float64 cost matrix measured 8.05-8.40 B/cell under tracemalloc (3000 x 3600
-# frames) at about 115 ns/cell (2-core KVM guest), so 2**27 cells cost about
-# 1.1 GB and 15 s: two minutes a side at 86 frames/s.  A few pool workers can
-# each hold one in 8 GB; a 3-minute pair (1.9 GB) fails its own entry instead
-# of drawing the OOM killer onto a worker, which fails its whole chunk.  The
-# benchmark's largest pair is about 2.8M cells.
+# float64 cost matrix takes about 8 B/cell (test_dtw_peak_memory_per_cell),
+# so 2**27 cells take about 1.1 GB: two minutes a side at 86 frames/s.  A few
+# pool workers can each hold one in 8 GB; a 3-minute pair (1.9 GB) fails its
+# own entry instead of drawing the OOM killer onto a worker, which fails its
+# whole chunk.  The benchmark's largest pair is about 2.8M cells.
 DTW_MAX_CELLS = 1 << 27
 
 

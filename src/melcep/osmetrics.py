@@ -23,6 +23,10 @@ import numpy as np
 from .cepstral import QuefrencyPower
 
 
+# The cumulative power fraction whose quefrency CRoll95 reports.
+ROLLOFF_FRACTION = 0.95
+
+
 class DegenerateFrameError(ValueError):
     """Raised when a frame carries no quefrency power above DC."""
 
@@ -37,14 +41,11 @@ class MetricConfig:
 
     cutoff_q: int | None = None
     eps: float = 1e-10
-    rolloff_fraction: float = 0.95
     soft_tau: float = 50.0
 
     def __post_init__(self):
         if self.eps <= 0:
             raise ValueError("eps must be positive")
-        if not 0.0 < self.rolloff_fraction < 1.0:
-            raise ValueError("rolloff_fraction must be in (0, 1)")
         if self.soft_tau < 0:
             raise ValueError("soft_tau must be non-negative")
 
@@ -82,17 +83,17 @@ def ccentroid_series(p, cfg: MetricConfig = MetricConfig()) -> np.ndarray:
 
 
 def croll95_series(p, cfg: MetricConfig = MetricConfig()) -> np.ndarray:
-    """Smallest integer q whose cumulative power fraction reaches the rolloff
-    fraction; every frame needs power above DC."""
+    """Smallest integer q whose cumulative power fraction reaches
+    ``ROLLOFF_FRACTION``; every frame needs power above DC."""
     tail = np.asarray(p, dtype=np.float64)[1:]
     frac = np.cumsum(tail, axis=0) / tail.sum(axis=0)
-    return np.argmax(frac >= cfg.rolloff_fraction, axis=0) + 1
+    return np.argmax(frac >= ROLLOFF_FRACTION, axis=0) + 1
 
 
 def croll95_soft_series(p, cfg: MetricConfig = MetricConfig()) -> np.ndarray:
     """Soft-quantile rolloff surrogate; every frame needs power above DC.
 
-    Weights each quefrency by softmax(-tau * |F(q) - fraction|) over
+    Weights each quefrency by softmax(-tau * |F(q) - ROLLOFF_FRACTION|) over
     q = 1..Q-1, where F is the cumulative power fraction; tau = 0 gives the
     unweighted mean of q, large tau approaches the hard rolloff up to ties on
     the plateau where F has already reached 1.
@@ -100,7 +101,7 @@ def croll95_soft_series(p, cfg: MetricConfig = MetricConfig()) -> np.ndarray:
     tail = np.asarray(p, dtype=np.float64)[1:]
     frac = np.cumsum(tail, axis=0) / tail.sum(axis=0)
     q = np.arange(1, tail.shape[0] + 1, dtype=np.float64)
-    logits = -cfg.soft_tau * np.abs(frac - cfg.rolloff_fraction)
+    logits = -cfg.soft_tau * np.abs(frac - ROLLOFF_FRACTION)
     logits -= logits.max(axis=0, keepdims=True)
     weights = np.exp(logits)
     weights /= weights.sum(axis=0, keepdims=True)

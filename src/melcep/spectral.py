@@ -25,8 +25,7 @@ _MEL_BREAK = 15.0
 _MEL_LOG_STEP = np.log(6.4) / 27.0
 
 # Frames per block of the log-mel STFT pass: the block's windowed frames and
-# their spectrum stay cache-sized whatever the signal length (32-64 measured
-# fastest, 128 and up slower).
+# their spectrum stay cache-sized whatever the signal length.
 _BLOCK_FRAMES = 64
 
 

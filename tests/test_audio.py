@@ -116,26 +116,13 @@ def test_preprocess_trailing_and_leading_silence_capped():
         assert end - start <= 0.200 + 0.030
 
 
-def test_preprocess_remove_long_silence_entirely():
-    cfg = PreprocessConfig(cap_long_silence=False)
-    x = np.concatenate([tone(440, 0.5, -16), np.zeros(SR), tone(523, 0.5, -16)])
-    out = preprocess(Waveform(x, SR), cfg)
-    segments = gate_silent_segments(out.samples, SR, -45.0)
-    internal = [(s, e) for s, e in segments if s > 0.01 and e < out.duration_s - 0.01]
-    assert internal == [] or max(e - s for s, e in internal) < 0.080
-
-
-@pytest.mark.parametrize("cap", [True, False], ids=["cap", "delete"])
-def test_cap_silences_records_what_it_removed(cap):
+def test_cap_silences_records_what_it_removed():
     """Every kept sample traces back to its place in the signal before the cap."""
     mask = np.zeros(30000, dtype=bool)
     mask[:6000] = mask[9000:9500] = mask[12000:20000] = mask[25000:] = True  # leading, short, interior, trailing
     x = np.arange(mask.size, dtype=np.float64)
-    y, removed = audio._cap_silences(x, mask, 4410, cap)
-    if cap:
-        assert removed.tolist() == [[0, 1590], [14205, 3590], [29410, 590]]
-    else:
-        assert removed.tolist() == [[0, 6000], [12000, 8000], [25000, 5000]]
+    y, removed = audio._cap_silences(x, mask, 4410)
+    assert removed.tolist() == [[0, 1590], [14205, 3590], [29410, 590]]
     w = Waveform(y, SR, removed)
     assert w.source_length == x.size
     assert np.array_equal(x[w.source_positions(np.arange(y.size))], y)

@@ -102,10 +102,3 @@ def test_degenerate_flagging_threshold():
 def test_requires_two_bands():
     with pytest.raises(ValueError):
         mel_cepstrogram(LogMelSpectrogram(np.zeros((1, 4))))
-
-
-def test_accepts_plain_arrays(rng):
-    values = rng.normal(-6, 1, (80, 3))
-    a = mel_cepstrogram(values).coeffs
-    b = mel_cepstrogram(LogMelSpectrogram(values)).coeffs
-    assert np.array_equal(a, b)

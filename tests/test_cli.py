@@ -19,7 +19,7 @@ from melcep import cli
 from melcep.cli import AGGREGATE_MEASURES, MANIFEST_FIELDS, UsageError, load_run_config, main, read_manifest
 from melcep.spectral import read_blob
 
-from conftest import SR, speechlike, write_wav_bytes
+from conftest import SR, speechlike, tone, write_wav_bytes
 
 HOP_S = 256 / 22050
 # what subprocesses put on PYTHONPATH to import the melcep under test: a
@@ -396,20 +396,6 @@ def test_metric_flags_are_unrecognised(corpus, tmp_path, capsys, command, flag):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("value, expected", [("1", True), ("TRUE", True), ("yes", True), ("0", False), ("False", False), ("NO", False)])
-def test_cap_long_silence_accepts_booleans(tmp_path, value, expected):
-    config = tmp_path / "cfg.txt"
-    config.write_text(f"cap_long_silence = {value}\n")
-    assert load_run_config(config).preprocess.cap_long_silence is expected
-
-
-def test_cap_long_silence_typo_rejected(tmp_path):
-    config = tmp_path / "cfg.txt"
-    config.write_text("n_mels = 80\ncap_long_silence = ture\n")
-    with pytest.raises(UsageError, match="config line 2: bad value for cap_long_silence"):
-        load_run_config(config)
-
-
 def test_corpus_stats_writes_error_log(corpus, tmp_path):
     _, manifest, rows = corpus
     missing = {"utterance_id": "zz_missing", "ref_wav": str(tmp_path / "nope.wav")}
@@ -467,21 +453,74 @@ def test_corpus_stats_without_a_usable_entry_removes_an_earlier_table(corpus, tm
 def test_config_keys_are_the_section_fields_but_soft_tau(tmp_path):
     assert list(cli._CONFIG_KEYS) == [
         "target_rate", "silence_trim_ms", "silence_threshold_db", "highpass_hz", "target_level_dbfs",
-        "cap_long_silence", "n_fft", "win_length", "hop", "n_mels", "f_min", "f_max", "clamp_floor",
-        "cutoff_q", "eps", "rolloff_fraction",
+        "n_fft", "win_length", "hop", "n_mels", "f_min", "f_max", "clamp_floor", "cutoff_q", "eps",
     ]
     assert [section for section, _ in cli._CONFIG_KEYS.values()] == (
-        ["preprocess"] * 6 + ["stft"] * 3 + ["mel"] * 4 + ["metric"] * 3
+        ["preprocess"] * 5 + ["stft"] * 3 + ["mel"] * 4 + ["metric"] * 2
     )
-    # only target_level_dbfs spells None; cutoff_q's None is its default
+    assert "bool" not in cli._PARSERS
+    # only target_level_dbfs spells None, and only as none; cutoff_q's None is its default
     config = tmp_path / "cfg.txt"
-    config.write_text("target_level_dbfs = off\n")
+    config.write_text("target_level_dbfs = NONE\n")
     assert load_run_config(config).preprocess.target_level_dbfs is None
+    config.write_text("target_level_dbfs = off\n")
+    with pytest.raises(UsageError, match="config line 1: bad value for target_level_dbfs: expected a finite number"):
+        load_run_config(config)
     config.write_text("target_level_dbfs = 0\n")  # full scale, the highest target accepted
     assert load_run_config(config).preprocess.target_level_dbfs == 0.0
     config.write_text("cutoff_q = none\n")
     with pytest.raises(UsageError, match="config line 1: bad value for cutoff_q: invalid literal for int"):
         load_run_config(config)
+
+
+# a valid value of each config key that moves the outputs of _key_fixture's wav
+_KEY_VALUES = {
+    "target_rate": "16000",
+    "silence_trim_ms": "100",
+    "silence_threshold_db": "-60",  # under the rumble: the pause is no longer silent, so it is not capped
+    "highpass_hz": "100",
+    "target_level_dbfs": "none",
+    "n_fft": "2048",
+    "win_length": "512",
+    "hop": "128",
+    "n_mels": "64",
+    "f_min": "50",
+    "f_max": "7000",
+    "clamp_floor": "1e-3",
+    "cutoff_q": "5",
+    "eps": "1e-3",
+}
+
+
+@pytest.fixture(scope="module")
+def key_outputs(tmp_path_factory):
+    """The .lmel and .metrics.csv bytes of ``features`` on a float32
+    speech-like wav with a 0.6 s zero pause, under a 30 Hz rumble at
+    -57 dBFS, run with a config file (None: the defaults)."""
+    root = tmp_path_factory.mktemp("keys")
+    rng = np.random.default_rng(7)
+    x = np.concatenate([speechlike(rng, 0.5), np.zeros(int(0.6 * SR)), speechlike(rng, 0.5)])
+    write_wav_bytes(root / "u.wav", x + tone(30.0, x.size / SR, -57.0), SR, "float32")
+    manifest = root / "m.csv"
+    _write_manifest(manifest, [{"utterance_id": "u", "ref_wav": str(root / "u.wav")}], fields=("utterance_id", "ref_wav"))
+
+    @functools.cache
+    def outputs(config):
+        out = root / f"out{len(list(root.glob('out*')))}"
+        argv = ["features", "--manifest", str(manifest), "--out", str(out)]
+        assert main(argv + (["--config", str(config)] if config else [])) == 0
+        return (out / "u.lmel").read_bytes(), (out / "u.metrics.csv").read_bytes()
+    return outputs
+
+
+@pytest.mark.parametrize("key", list(cli._CONFIG_KEYS))
+def test_every_config_key_reaches_an_output(key_outputs, tmp_path, key):
+    """A key that no code reads would pass every other test; soft_tau was one."""
+    config = tmp_path / "cfg.txt"
+    config.write_text(f"{key} = {_KEY_VALUES[key]}\n")
+    section = cli._CONFIG_KEYS[key][0]
+    assert getattr(getattr(load_run_config(config), section), key) != getattr(getattr(load_run_config(), section), key)
+    assert key_outputs(config) != key_outputs(None)
 
 
 def test_readme_lists_the_config_keys():
@@ -880,6 +919,10 @@ def test_pool_is_capped_at_entry_count(corpus, tmp_path, monkeypatch):
         ("n_mels = 3\ncutoff_q = 1", []),  # 2 quefrency bins, too few for CSlope's line
         ("silence_threshold_db = 5", []),  # above full scale: a full-scale signal would read silent
         ("highpass_hz = 1e-9", []),  # below 10 Hz, where the filter leaves scipy's; here it is not finite
+        # like soft_tau, keys of removed parameters: CRoll95 is always the 95 % rolloff, long pauses always capped
+        ("cap_long_silence = true", []),
+        ("rolloff_fraction = 0.95", []),
+        ("target_level_dbfs = off", []),  # none is the one spelling of no level normalization
     ],
 )
 def test_bad_config_values_exit_1_before_any_work(corpus, tmp_path, monkeypatch, config, flags):
@@ -1469,3 +1512,22 @@ def test_failed_entry_leaves_no_outputs(corpus, tmp_path, command, suffixes):
     assert main(argv) == 2
     assert (out / "errors.log").read_text().startswith("u1\tIsADirectoryError: ")
     assert [path.name for path in out.glob("u1.*")] == [f"u1{suffixes[0]}"]
+
+
+def test_rerun_leaves_the_files_of_entries_outside_its_manifest(corpus, tmp_path):
+    """A run owns errors.log, its table and its own entries' files: a second
+    compare on one of the two pairs keeps the other pair's report, which its
+    aggregate.csv does not count."""
+    _, _, rows = corpus
+    both, one = tmp_path / "both.csv", tmp_path / "one.csv"
+    _write_manifest(both, rows[:2])
+    _write_manifest(one, rows[:1])
+    out = tmp_path / "out"
+    assert main(["compare", "--manifest", str(both), "--out", str(out)]) == 0
+    other = out / "utt01.report.json"
+    before = other.read_bytes(), other.stat().st_mtime_ns
+    assert main(["compare", "--manifest", str(one), "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["aggregate.csv", "utt00.report.json", "utt01.report.json"]
+    assert (other.read_bytes(), other.stat().st_mtime_ns) == before
+    counts = {line.split(",")[0]: line.split(",")[-1] for line in (out / "aggregate.csv").read_text().splitlines()[1:]}
+    assert counts["L1"] == counts["MAE(CRoll95)/bin"] == "1"

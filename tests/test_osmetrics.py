@@ -214,8 +214,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         MetricConfig(eps=0.0)
     with pytest.raises(ValueError):
-        MetricConfig(rolloff_fraction=1.0)
-    with pytest.raises(ValueError):
         MetricConfig(soft_tau=-1.0)
     with pytest.raises(ValueError):
         MetricConfig(cutoff_q=0).resolve_cutoff(Q)
