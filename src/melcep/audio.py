@@ -94,11 +94,12 @@ class PreprocessConfig:
     """Parameters of the preprocessing chain.
 
     Silence runs longer than ``silence_trim_ms`` are shortened to exactly
-    that length.  ``target_level_dbfs`` of None disables the level
-    normalization stage.  Both levels are in dB relative to full scale
-    (an RMS of 1.0), and above 0 dBFS each is an error: a target there
-    leaves full scale, and a gate there calls a full-scale signal silent.
-    ``highpass_hz`` is at least ``HIGHPASS_MIN_HZ``.
+    that length, at least one sample at ``target_rate``.  A
+    ``target_level_dbfs`` of None disables the level normalization stage.
+    Both levels are in dB relative to full scale (an RMS of 1.0), and above
+    0 dBFS each is an error: a target there leaves full scale, and a gate
+    there calls a full-scale signal silent.  ``highpass_hz`` is at least
+    ``HIGHPASS_MIN_HZ``.
     """
 
     target_rate: int = 22050
@@ -112,8 +113,10 @@ class PreprocessConfig:
             raise ValueError(f"highpass_hz must be at least {HIGHPASS_MIN_HZ:g} Hz, got {self.highpass_hz:g}")
         if self.target_rate <= 2 * self.highpass_hz:
             raise ValueError("target_rate must exceed twice the high-pass cutoff")
-        if self.silence_trim_ms <= 0:
-            raise ValueError("silence_trim_ms must be positive")
+        # preprocess rounds the kept length to whole samples, and 0 would delete each long pause; NaN fails too
+        if not self.silence_trim_ms * self.target_rate / 1000.0 > 0.5:
+            raise ValueError(f"silence_trim_ms must keep at least one sample at {self.target_rate} Hz, "
+                             f"got {self.silence_trim_ms:g}")
         if self.silence_threshold_db > 0:
             raise ValueError(f"silence_threshold_db must be at most 0 dBFS, got {self.silence_threshold_db:g}")
         if self.target_level_dbfs is not None and self.target_level_dbfs > 0:

@@ -239,14 +239,17 @@ def read_manifest(path, required=("utterance_id", "ref_wav")) -> list[ManifestEn
     return sorted(entries, key=lambda e: e.utterance_id)
 
 
-def _analyze(entry: ManifestEntry, wav_path, f0_path, run: RunConfig):
-    """The per-wav pipeline of every subcommand: preprocess, log-mel,
-    utterance metrics and, given a pitch CSV, the pitch contour.
+def analyze(wav_path, f0_path=None, token_count: int | None = None,
+            run: RunConfig = RunConfig()) -> cmp.UtteranceBundle:
+    """The per-wav pipeline of every subcommand, as one bundle: ``load_wav``,
+    ``preprocess``, ``log_mel`` (the bundle's ``mel``), ``mel_cepstrogram``,
+    ``quefrency_power``, ``utterance_metrics`` and, given a pitch CSV, the
+    contour as read (``pitch``) and on the log-mel frame grid (``frame_pitch``).
 
     The CSV's row k is the frame of samples k*hop to (k+1)*hop of the
     resampled wav, before the silence cap; a CSV whose row count is more
-    than one off that wav's frame count fails the entry.  Each log-mel frame
-    takes the row under the middle of its hop, traced back through the cap.
+    than one off that wav's frame count raises ``ValueError``.  Each log-mel
+    frame takes the row under the middle of its hop, traced back through the cap.
     """
     wave = preprocess(load_wav(wav_path), run.preprocess)
     mel = log_mel(wave, run.stft, run.mel)
@@ -261,20 +264,14 @@ def _analyze(entry: ManifestEntry, wav_path, f0_path, run: RunConfig):
                              f"of {hop} samples at {run.preprocess.target_rate} Hz")
         rows = np.minimum(wave.source_positions(np.arange(mel.n_frames) * hop + hop // 2) // hop, n_rows - 1)
         frame_pitch = cmp.PitchContour(pitch.f0[rows], pitch.voiced[rows])
-    bundle = cmp.UtteranceBundle(
-        duration_s=wave.duration_s,
-        metrics=metrics,
-        pitch=pitch,
-        token_count=entry.token_count,
-        frame_pitch=frame_pitch,
-    )
-    return mel, bundle
+    return cmp.UtteranceBundle(duration_s=wave.duration_s, metrics=metrics, pitch=pitch, token_count=token_count,
+                               frame_pitch=frame_pitch, mel=mel)
 
 
 def _features_worker(payload) -> None:
     entry, run, (blob_path, csv_path) = payload
-    mel, bundle = _analyze(entry, entry.ref_wav, None, run)
-    spectral.write_blob(mel, blob_path)
+    bundle = analyze(entry.ref_wav, run=run)
+    spectral.write_blob(bundle.mel, blob_path)
     bundle.metrics.to_csv(csv_path)
 
 
@@ -282,16 +279,16 @@ def _compare_worker(payload) -> cmp.ComparisonReport:
     entry, run, (report_path,) = payload
     if entry.syn_wav is None:
         raise ValueError("entry has no syn_wav")
-    ref_mel, ref_bundle = _analyze(entry, entry.ref_wav, entry.f0_ref, run)
-    syn_mel, syn_bundle = _analyze(entry, entry.syn_wav, entry.f0_syn, run)
-    report = cmp.build_report(ref_mel, syn_mel, ref_bundle, syn_bundle)
+    ref = analyze(entry.ref_wav, entry.f0_ref, entry.token_count, run)
+    syn = analyze(entry.syn_wav, entry.f0_syn, entry.token_count, run)
+    report = cmp.build_report(ref, syn)
     report_path.write_text(report.to_json() + "\n", encoding="utf-8")
     return report
 
 
 def _stats_worker(payload) -> stats.UtteranceStats:
     entry, run = payload
-    _, bundle = _analyze(entry, entry.ref_wav, entry.f0_ref, run)
+    bundle = analyze(entry.ref_wav, entry.f0_ref, entry.token_count, run)
     return stats.UtteranceStats(
         utterance_id=entry.utterance_id,
         duration_s=bundle.duration_s,

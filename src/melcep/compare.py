@@ -69,7 +69,7 @@ class PitchContour:
 class PitchMetrics(NamedTuple):
     f0_rmse: float | None
     pearson_r: float | None
-    vuv_error: float
+    vuv_error: float | None
 
 
 class MelDistances(NamedTuple):
@@ -86,11 +86,12 @@ MEASURES = ("mu_f0", "sigma_f0", "spr", *METRIC_NAMES)
 
 @dataclass
 class UtteranceBundle:
-    """One utterance's measurements: the per-wav record of every subcommand.
+    """One utterance's measurements, the record ``cli.analyze`` returns.
 
     ``pitch`` is the contour as read, which the utterance measures use.
     ``frame_pitch`` is the same contour with one value per log-mel frame,
-    which the aligned scores use; it defaults to ``pitch``.
+    which the aligned scores use; it defaults to ``pitch``.  ``mel`` is the
+    log-mel the metrics come from, whose frames ``build_report`` aligns.
     """
 
     duration_s: float
@@ -98,6 +99,7 @@ class UtteranceBundle:
     pitch: PitchContour | None = None
     token_count: int | None = None
     frame_pitch: PitchContour | None = None
+    mel: LogMelSpectrogram | None = None
 
     def __post_init__(self):
         if self.frame_pitch is None:
@@ -113,13 +115,12 @@ class UtteranceBundle:
         """
         voiced = self.pitch.voiced_f0() if self.pitch is not None else np.empty(0)
         has_tokens = self.token_count is not None and self.duration_s > 0
-        values = (  # in MEASURES order
-            float(np.mean(voiced)) if voiced.size else None,
-            float(np.std(voiced)) if voiced.size else None,
-            self.token_count / self.duration_s if has_tokens else None,
-            *self.metrics.means.values(),
-        )
-        return dict(zip(MEASURES, values))
+        return {
+            "mu_f0": float(np.mean(voiced)) if voiced.size else None,
+            "sigma_f0": float(np.std(voiced)) if voiced.size else None,
+            "spr": self.token_count / self.duration_s if has_tokens else None,
+            **self.metrics.means,
+        }
 
 
 UtteranceDeltas = NamedTuple("UtteranceDeltas", [(f"delta_{name}", float | None) for name in MEASURES])
@@ -251,19 +252,26 @@ def dtw_align(a, b, distance: str = "cosine") -> tuple[DtwPath, float]:
     return DtwPath(np.asarray(pairs, dtype=np.intp)), total
 
 
+def _diagonal(n1: int, n2: int) -> DtwPath:
+    """The path of a scorer called without one: frame k with frame k, for sequences of equal length."""
+    if n1 != n2:
+        raise ValueError(f"sequences of {n1} and {n2} frames need a path to be paired")
+    return DtwPath(np.repeat(np.arange(n1), 2).reshape(-1, 2))
+
+
 def mel_distances(ref: LogMelSpectrogram, syn: LogMelSpectrogram, path: DtwPath | None = None) -> MelDistances:
     """L1/L2 error and spectral convergence over the frame pairs of ``path``.
 
     ``path`` pairs the frames of the two spectrograms (in ``build_report``,
-    their cosine path); without one, they are aligned here by cosine DTW.
-    The distances are taken over the aligned band-by-step matrices.
-    Spectral convergence is the Frobenius norm of the aligned difference
-    over the Frobenius norm of the aligned reference.
+    their cosine path); without one, spectrograms of equal frame count are
+    paired frame by frame.  The distances are taken over the aligned
+    band-by-step matrices.  Spectral convergence is the Frobenius norm of
+    the aligned difference over the Frobenius norm of the aligned reference.
     """
     if ref.n_bands != syn.n_bands:
         raise ValueError("band count mismatch")
     if path is None:
-        path, _ = dtw_align(ref.values.T, syn.values.T)
+        path = _diagonal(ref.n_frames, syn.n_frames)
     r = ref.values[:, path.i]
     s = syn.values[:, path.j]
     diff = r - s
@@ -287,10 +295,7 @@ def pitch_metrics(ref: PitchContour, syn: PitchContour, path: DtwPath | None = N
     """
     n1, n2 = ref.f0.size, syn.f0.size
     if path is None:
-        if n1 != n2:
-            raise ValueError(f"contours of {n1} and {n2} frames need a path to be paired")
-        frames = np.arange(n1)
-        path = DtwPath(np.stack([frames, frames], axis=1))
+        path = _diagonal(n1, n2)
     if tuple(path.pairs[-1]) != (n1 - 1, n2 - 1):
         raise ValueError(f"the path ends at {tuple(path.pairs[-1].tolist())}, not at the contours' last frames "
                          f"({n1 - 1}, {n2 - 1})")
@@ -349,26 +354,20 @@ def utterance_deltas(ref: UtteranceBundle, syn: UtteranceBundle) -> UtteranceDel
     return UtteranceDeltas(*(None if r[k] is None or s[k] is None else s[k] - r[k] for k in MEASURES))
 
 
-def build_report(
-    ref_mel: LogMelSpectrogram,
-    syn_mel: LogMelSpectrogram,
-    ref_bundle: UtteranceBundle,
-    syn_bundle: UtteranceBundle,
-) -> ComparisonReport:
-    """Assemble the full comparison report for one utterance pair.
-
-    The pair is aligned once, by cosine DTW of its log-mel frames; the mel
-    distances, the pitch scores (over each bundle's ``frame_pitch``) and the
-    metric-curve errors are taken along that path.
+def build_report(ref: UtteranceBundle, syn: UtteranceBundle) -> ComparisonReport:
+    """The report of a reference and a synthesis bundle, aligned once by
+    cosine DTW of their ``mel`` frames (``ValueError`` if either has no
+    ``mel``).  The mel distances, the pitch scores (over each bundle's
+    ``frame_pitch``) and the metric-curve errors are taken along that path.
     """
-    path, _ = dtw_align(ref_mel.values.T, syn_mel.values.T)
-    dist = mel_distances(ref_mel, syn_mel, path)
-    if ref_bundle.frame_pitch is not None and syn_bundle.frame_pitch is not None:
-        pm = pitch_metrics(ref_bundle.frame_pitch, syn_bundle.frame_pitch, path)
-    else:
-        pm = PitchMetrics(None, None, None)
-    mae = metric_curve_mae(ref_bundle.metrics, syn_bundle.metrics, path)
-    return ComparisonReport(*dist, *pm, *mae, *utterance_deltas(ref_bundle, syn_bundle))
+    if ref.mel is None or syn.mel is None:
+        raise ValueError("build_report aligns the bundles by their mel, which each must have")
+    path, _ = dtw_align(ref.mel.values.T, syn.mel.values.T)
+    dist = mel_distances(ref.mel, syn.mel, path)
+    has_pitch = ref.frame_pitch is not None and syn.frame_pitch is not None
+    pm = pitch_metrics(ref.frame_pitch, syn.frame_pitch, path) if has_pitch else PitchMetrics(None, None, None)
+    mae = metric_curve_mae(ref.metrics, syn.metrics, path)
+    return ComparisonReport(*dist, *pm, *mae, *utterance_deltas(ref, syn))
 
 
 def load_pitch_csv(path, hop: int = StftConfig.hop, sample_rate: int = PreprocessConfig.target_rate) -> PitchContour:

@@ -687,7 +687,7 @@ def test_compare_all_unvoiced_syn_pitch_reports_null(corpus, tmp_path):
 def test_alignment_over_the_cell_budget_fails_its_entry(corpus, tmp_path, monkeypatch):
     _, manifest, rows = corpus
     run = load_run_config()
-    frames = [cli._analyze(e, e.ref_wav, None, run)[0].n_frames for e in read_manifest(manifest)]
+    frames = [cli.analyze(e.ref_wav, run=run).mel.n_frames for e in read_manifest(manifest)]
     assert frames == sorted(frames) and frames[1] < frames[2]
     # each pair aligns a wav with itself, so its largest alignment is the mel one
     monkeypatch.setattr(cli.cmp, "DTW_MAX_CELLS", frames[1] ** 2)
@@ -923,6 +923,7 @@ def test_pool_is_capped_at_entry_count(corpus, tmp_path, monkeypatch):
         ("cap_long_silence = true", []),
         ("rolloff_fraction = 0.95", []),
         ("target_level_dbfs = off", []),  # none is the one spelling of no level normalization
+        ("silence_trim_ms = 0.01", []),  # 0.22 samples, rounded to 0: a long pause would be deleted, not capped
     ],
 )
 def test_bad_config_values_exit_1_before_any_work(corpus, tmp_path, monkeypatch, config, flags):
@@ -942,6 +943,7 @@ def test_bad_config_values_exit_1_before_any_work(corpus, tmp_path, monkeypatch,
     ("silence_threshold_db = 5", "silence_threshold_db must be at most 0 dBFS, got 5"),
     ("n_mels = 3\ncutoff_q = 1", "n_mels must be at least 4 for the 3 quefrency bins of CSlope, got 3"),
     ("highpass_hz = 1e-9", "highpass_hz must be at least 10 Hz, got 1e-09"),
+    ("silence_trim_ms = 0.01", "silence_trim_ms must keep at least one sample at 22050 Hz, got 0.01"),
 ])
 def test_config_error_names_its_key(corpus, tmp_path, capsys, config, message):
     cfg = tmp_path / "cfg.txt"
@@ -1386,8 +1388,8 @@ def test_pitch_rows_follow_the_samples_the_silence_cap_kept(tmp_path):
     wav, f0_csv = tmp_path / "p.wav", tmp_path / "p.f0.csv"
     write_wav_bytes(wav, x, SR, "float32")
     _write_pitch(f0_csv, _rows(f0))
-    mel, bundle = cli._analyze(cli.ManifestEntry("p", str(wav)), str(wav), str(f0_csv), load_run_config())
-    grid, tone_frames = bundle.frame_pitch, int(0.4 * SR) // 256
+    bundle = cli.analyze(wav, f0_csv)
+    mel, grid, tone_frames = bundle.mel, bundle.frame_pitch, int(0.4 * SR) // 256
     assert grid.f0.size == mel.n_frames
     first, last = slice(0, tone_frames - 1), slice(mel.n_frames - tone_frames + 1, mel.n_frames)
     assert (grid.f0[first] == 150.0).all() and (grid.f0[last] == 220.0).all()
@@ -1414,9 +1416,33 @@ def test_pitch_deltas_use_the_csv_as_read(tmp_path):
     assert report["delta_mu_f0"] == pytest.approx(syn.mean() - ref.mean(), rel=1e-5)
     assert report["delta_sigma_f0"] == pytest.approx(syn.std() - ref.std(), rel=1e-5)
     # the frame grid keeps only the rows of the 200 ms the cap left, so its statistics differ
-    _, bundle = cli._analyze(cli.ManifestEntry("p", "w"), tmp_path / "pause.ref.wav", tmp_path / "pause.ref.f0.csv",
-                             load_run_config())
+    bundle = cli.analyze(tmp_path / "pause.ref.wav", tmp_path / "pause.ref.f0.csv")
     assert abs(bundle.frame_pitch.voiced_f0().mean() - ref.mean()) > 10.0
+
+
+def test_readme_quick_start_runs_and_reports_what_compare_writes(tmp_path, monkeypatch):
+    """The README's python block, run on a reference whose 0.5 s pause the
+    silence cap shortens: the contour as read has more rows than the mel has
+    frames, and the recipe still scores pitch, as compare does."""
+    for side, pause_s in (("ref", 0.5), ("syn", 0.2)):
+        x, f0 = _tones_around_pause(pause_s)
+        write_wav_bytes(tmp_path / f"{side}.wav", x, SR, "float32")
+        _write_pitch(tmp_path / f"{side}.f0.csv", _rows(f0))
+    shutil.copy(tmp_path / "ref.wav", tmp_path / "utterance.wav")
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    (block,) = [part.split("```", 1)[0] for part in readme.split("```python\n")[1:]]
+    monkeypatch.chdir(tmp_path)
+    namespace = {}
+    exec(compile(block, "README.md", "exec"), namespace)
+    ref = namespace["ref"]
+    assert ref.pitch.f0.size > ref.mel.n_frames == ref.frame_pitch.f0.size
+    report = namespace["report"]
+    assert report.f0_rmse is not None and report.vuv_error is not None
+    pair = {"utterance_id": "pair", "ref_wav": "ref.wav", "syn_wav": "syn.wav", "f0_ref": "ref.f0.csv",
+            "f0_syn": "syn.f0.csv"}
+    _write_manifest(tmp_path / "pair.csv", [pair], fields=tuple(pair))
+    assert main(["compare", "--manifest", "pair.csv", "--out", "cmp"]) == 0
+    assert (tmp_path / "cmp" / "pair.report.json").read_text() == report.to_json() + "\n"
 
 
 @pytest.mark.parametrize("command", ["compare", "corpus-stats"])
@@ -1466,10 +1492,10 @@ def test_pitch_csv_may_miss_or_add_one_row(corpus, tmp_path):
         f0_csv = tmp_path / f"{count}.csv"
         _write_pitch(f0_csv, np.full(count, 120.0))
         if abs(count - n) == 1:
-            assert cli._analyze(entry, entry.ref_wav, f0_csv, run)[1].frame_pitch.f0.size == n
+            assert cli.analyze(entry.ref_wav, f0_csv, run=run).frame_pitch.f0.size == n
         else:
             with pytest.raises(ValueError, match=f"has {count} rows, but its wav has {n} frames"):
-                cli._analyze(entry, entry.ref_wav, f0_csv, run)
+                cli.analyze(entry.ref_wav, f0_csv, run=run)
 
 
 @pytest.mark.parametrize("command", ["features", "compare", "corpus-stats"])

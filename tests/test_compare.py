@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 import tracemalloc
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from melcep import compare
 from melcep.compare import (
     _pairwise_distance,
+    MEASURES,
     DtwPath,
     PitchContour,
     UtteranceBundle,
@@ -428,6 +430,27 @@ def test_pitch_metrics_follow_the_given_path():
         pitch_metrics(ref, syn, DtwPath(path.pairs[:-1]))
 
 
+def test_scorers_without_a_path_pair_frame_k_with_frame_k(rng, monkeypatch):
+    """Only build_report aligns: without a path, the mel and pitch scorers take the diagonal."""
+    monkeypatch.setattr(compare, "dtw_align", None)
+    ref = _mel([speechy_frame(rng) for _ in range(6)])
+    syn = LogMelSpectrogram(ref.values[:, ::-1])  # reversed frames: an alignment would leave the diagonal
+    diff = ref.values - syn.values
+    assert mel_distances(ref, syn) == (np.mean(np.abs(diff)), np.mean(np.square(diff)),
+                                       np.linalg.norm(diff) / np.linalg.norm(ref.values))
+    f0 = np.array([100.0, 0.0, 120.0, 130.0])
+    assert pitch_metrics(PitchContour(f0, f0 > 0), PitchContour(f0[::-1], f0[::-1] > 0)).vuv_error == 0.5
+
+
+def test_scorers_without_a_path_need_equal_frame_counts(rng):
+    ref = _mel([speechy_frame(rng) for _ in range(6)])
+    with pytest.raises(ValueError, match="^sequences of 6 and 5 frames need a path to be paired$"):
+        mel_distances(ref, LogMelSpectrogram(ref.values[:, :5]))
+    f0 = np.array([100.0, 0.0, 120.0])
+    with pytest.raises(ValueError, match="^sequences of 2 and 3 frames need a path to be paired$"):
+        pitch_metrics(PitchContour(f0[:2], f0[:2] > 0), PitchContour(f0, f0 > 0))
+
+
 def test_pitch_contour_validation():
     with pytest.raises(ValueError):
         PitchContour(np.array([100.0, 0.0]), np.array([True, True]))
@@ -443,7 +466,7 @@ def _bundle(frames, f0=None, tokens=None, duration=1.0):
     if f0 is not None:
         f0 = np.asarray(f0, dtype=float)
         pitch = PitchContour(f0, f0 > 0)
-    return UtteranceBundle(duration_s=duration, metrics=_um(frames), pitch=pitch, token_count=tokens)
+    return UtteranceBundle(duration_s=duration, metrics=_um(frames), pitch=pitch, token_count=tokens, mel=_mel(frames))
 
 
 def test_utterance_deltas_identity(rng):
@@ -514,12 +537,26 @@ def test_build_report_scores_pitch_on_the_frame_grid(rng):
     frames = [speechy_frame(rng) for _ in range(4)]
     on_grid = PitchContour(np.array([100.0, 120.0, 0.0, 140.0]), np.array([True, True, False, True]))
     as_read = PitchContour(np.array([100.0, 120.0, 0.0, 0.0, 140.0, 500.0]), np.array([1, 1, 0, 0, 1, 1], bool))
-    ref = UtteranceBundle(duration_s=1.0, metrics=_um(frames), pitch=as_read, frame_pitch=on_grid)
-    syn = UtteranceBundle(duration_s=1.0, metrics=_um(frames), pitch=on_grid)
+    ref = UtteranceBundle(duration_s=1.0, metrics=_um(frames), pitch=as_read, frame_pitch=on_grid, mel=_mel(frames))
+    syn = UtteranceBundle(duration_s=1.0, metrics=_um(frames), pitch=on_grid, mel=_mel(frames))
     assert syn.frame_pitch is syn.pitch
-    report = build_report(_mel(frames), _mel(frames), ref, syn)
+    report = build_report(ref, syn)
     assert (report.f0_rmse, report.vuv_error) == (0.0, 0.0)
     assert report.delta_mu_f0 == pytest.approx(120.0 - 215.0)
+
+
+def test_build_report_needs_each_bundles_mel(rng):
+    with_mel = _bundle([speechy_frame(rng) for _ in range(4)])
+    without = dataclasses.replace(with_mel, mel=None)
+    for ref, syn in ((with_mel, without), (without, with_mel)):
+        with pytest.raises(ValueError, match=r"\bmel\b"):
+            build_report(ref, syn)
+
+
+def test_bundle_measures_follow_measures_order(rng):
+    bundle = _bundle([speechy_frame(rng) for _ in range(4)], [110.0, 0.0, 120.0, 118.0], tokens=5)
+    assert list(bundle.measures()) == list(MEASURES)
+    assert None not in bundle.measures().values()
 
 
 # --------------------------------------------------- report and CSV IO
@@ -530,7 +567,7 @@ def test_report_json_field_names(rng):
     f0 = [110.0, 115.0, 0.0, 120.0, 0.0, 118.0]
     ref = _bundle(frames, f0, tokens=10, duration=1.5)
     syn = _bundle(frames, f0, tokens=10, duration=1.5)
-    report = build_report(_mel(frames), _mel(frames), ref, syn)
+    report = build_report(ref, syn)
     payload = json.loads(report.to_json())
     assert list(payload) == [
         "l1", "l2", "sconv", "f0_rmse", "pearson_r", "vuv_error",
@@ -546,7 +583,7 @@ def test_report_missing_fields_serialize_null(rng):
     frames = [speechy_frame(rng) for _ in range(4)]
     ref = _bundle(frames)
     syn = _bundle(frames)
-    report = build_report(_mel(frames), _mel(frames), ref, syn)
+    report = build_report(ref, syn)
     payload = json.loads(report.to_json())
     assert payload["f0_rmse"] is None
     assert payload["delta_spr"] is None
