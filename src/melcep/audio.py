@@ -10,7 +10,7 @@ from __future__ import annotations
 import functools
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -45,6 +45,13 @@ _WAV_GUID_TAIL = b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
 
 class SilentSignalError(ValueError):
     """Raised when a signal contains no frames above the silence gate."""
+
+
+def reject_non_finite(config) -> None:
+    """ValueError naming the first field of the dataclass ``config`` that holds a NaN or infinite float."""
+    for f in fields(config):
+        if isinstance(value := getattr(config, f.name), float) and not math.isfinite(value):
+            raise ValueError(f"{f.name} must be finite, got {value}")
 
 
 @dataclass
@@ -99,7 +106,7 @@ class PreprocessConfig:
     Both levels are in dB relative to full scale (an RMS of 1.0), and above
     0 dBFS each is an error: a target there leaves full scale, and a gate
     there calls a full-scale signal silent.  ``highpass_hz`` is at least
-    ``HIGHPASS_MIN_HZ``.
+    ``HIGHPASS_MIN_HZ``.  No value is NaN or infinite.
     """
 
     target_rate: int = 22050
@@ -109,11 +116,12 @@ class PreprocessConfig:
     target_level_dbfs: float | None = -22.0
 
     def __post_init__(self):
+        reject_non_finite(self)
         if self.highpass_hz < HIGHPASS_MIN_HZ:
             raise ValueError(f"highpass_hz must be at least {HIGHPASS_MIN_HZ:g} Hz, got {self.highpass_hz:g}")
         if self.target_rate <= 2 * self.highpass_hz:
             raise ValueError("target_rate must exceed twice the high-pass cutoff")
-        # preprocess rounds the kept length to whole samples, and 0 would delete each long pause; NaN fails too
+        # preprocess rounds the kept length to whole samples, and 0 would delete each long pause
         if not self.silence_trim_ms * self.target_rate / 1000.0 > 0.5:
             raise ValueError(f"silence_trim_ms must keep at least one sample at {self.target_rate} Hz, "
                              f"got {self.silence_trim_ms:g}")
@@ -229,17 +237,15 @@ def silence_mask(x: np.ndarray, rate: int, threshold_db: float) -> np.ndarray:
 
 def _silent_runs(mask: np.ndarray):
     """Yield (start, end) of maximal True runs in a non-empty boolean mask."""
-    edges = np.flatnonzero(np.diff(mask.astype(np.int8)))
-    starts = ([0] if mask[0] else []) + (edges[mask[edges + 1]] + 1).tolist()
-    ends = (edges[~mask[edges + 1]] + 1).tolist() + ([mask.size] if mask[-1] else [])
-    yield from zip(starts, ends)
+    # k is an edge where mask, padded with False at both ends, differs at k - 1 and k; starts and ends alternate
+    edges = np.flatnonzero(np.concatenate(([mask[0]], mask[1:] != mask[:-1], [mask[-1]]))).tolist()
+    yield from zip(edges[::2], edges[1::2])
 
 
 def _cap_silences(x: np.ndarray, mask: np.ndarray, max_len: int) -> tuple[np.ndarray, np.ndarray]:
     """``x`` with its silence runs longer than ``max_len`` capped to it, and
     the (start, length) of each stretch taken out, in order."""
-    keep = np.ones(x.size, dtype=bool)
-    removed = []
+    kept, removed, pos = [], [], 0
     for start, end in _silent_runs(mask):
         if end - start <= max_len:
             continue
@@ -251,9 +257,10 @@ def _cap_silences(x: np.ndarray, mask: np.ndarray, max_len: int) -> tuple[np.nda
         else:
             head = max_len // 2
             cut = start + head, end - (max_len - head)
-        keep[cut[0] : cut[1]] = False
+        kept.append(x[pos : cut[0]])
         removed.append((cut[0], cut[1] - cut[0]))
-    return x[keep], np.array(removed, dtype=np.int64).reshape(-1, 2)
+        pos = cut[1]
+    return np.concatenate(kept + [x[pos:]]), np.array(removed, dtype=np.int64).reshape(-1, 2)
 
 
 @functools.lru_cache(maxsize=8)

@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import math
 import os
 import re
 import sys
@@ -111,17 +110,6 @@ class RunConfig:
         spectral.mel_band_edges(self.mel, self.preprocess.target_rate, self.stft.n_fft)
 
 
-def _finite_float(value: str) -> float:
-    """Parser of every float config key: a number, not NaN or inf."""
-    try:
-        number = float(value)
-    except ValueError:
-        number = math.nan
-    if not math.isfinite(number):
-        raise ValueError(f"expected a finite number, got {value!r}")
-    return number
-
-
 def _int_at_least(minimum: int):
     """argparse type of the count flags (1) and ``--seed`` (0): an integer of
     at least ``minimum``."""
@@ -136,14 +124,14 @@ def _int_at_least(minimum: int):
     return parse
 
 
-# Config file key -> (RunConfig section, parser of the field's annotation), for
-# every section field but soft_tau, which only the library function croll95_soft
-# reads.  cutoff_q's None (a quarter of the quefrencies) has no spelling in a file.
+# Config file key -> (RunConfig section, parser of the field's annotation), for every section field but
+# soft_tau, which only the library function croll95_soft reads.  cutoff_q's None (a quarter of the
+# quefrencies) has no spelling in a file.  A parser only converts text; the config classes check values.
 _PARSERS = {
     "int": int,
     "int | None": int,
-    "float": _finite_float,
-    "float | None": lambda v: None if v.lower() == "none" else _finite_float(v),
+    "float": float,
+    "float | None": lambda v: None if v.lower() == "none" else float(v),
 }
 _CONFIG_KEYS = {
     f.name: (section.name, _PARSERS[f.type])

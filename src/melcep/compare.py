@@ -328,13 +328,13 @@ def metric_curve_mae(ref: UtteranceMetrics, syn: UtteranceMetrics, path: DtwPath
     """Mean absolute difference of each metric curve over the frame pairs of
     ``path`` whose two frames are both usable (in ``frame_indices``).
 
-    ``path`` pairs the frames of the spectrograms the metrics were taken from
-    (in ``build_report``, their cosine path); without one, frame k is paired
-    with frame k.  Every field is None when no pair is usable on both sides.
+    ``path`` pairs the frames of the grids the metrics were taken on (in
+    ``build_report``, their log-mel's cosine path); without one, grids of
+    equal ``grid_frames`` are paired frame by frame, as the mel and pitch
+    scorers pair theirs.  Every field is None when no pair is usable on both sides.
     """
     if path is None:
-        frames = np.union1d(ref.frame_indices, syn.frame_indices)
-        path = DtwPath(np.stack([frames, frames], axis=1))
+        path = _diagonal(ref.grid_frames, syn.grid_frames)
     i, usable_i = _series_rows(ref, path.i)
     j, usable_j = _series_rows(syn, path.j)
     both = usable_i & usable_j
@@ -356,12 +356,19 @@ def utterance_deltas(ref: UtteranceBundle, syn: UtteranceBundle) -> UtteranceDel
 
 def build_report(ref: UtteranceBundle, syn: UtteranceBundle) -> ComparisonReport:
     """The report of a reference and a synthesis bundle, aligned once by
-    cosine DTW of their ``mel`` frames (``ValueError`` if either has no
-    ``mel``).  The mel distances, the pitch scores (over each bundle's
-    ``frame_pitch``) and the metric-curve errors are taken along that path.
+    cosine DTW of their ``mel`` frames.  The mel distances, the pitch scores
+    (over each bundle's ``frame_pitch``) and the metric-curve errors are
+    taken along that path.  Before it aligns, a ``ValueError`` names a bundle
+    without ``mel``, or one whose ``metrics`` grid or ``frame_pitch`` (if
+    any) differs from its mel in frame count.
     """
-    if ref.mel is None or syn.mel is None:
-        raise ValueError("build_report aligns the bundles by their mel, which each must have")
+    for side, b in (("ref", ref), ("syn", syn)):
+        if b.mel is None:
+            raise ValueError(f"build_report aligns the bundles by their mel, which the {side} bundle lacks")
+        grids = {"metrics": b.metrics.grid_frames, "frame_pitch": b.frame_pitch and b.frame_pitch.f0.size}
+        for part, count in grids.items():
+            if count not in (None, b.mel.n_frames):
+                raise ValueError(f"the {side} bundle's {part} covers {count} frames, its mel {b.mel.n_frames}")
     path, _ = dtw_align(ref.mel.values.T, syn.mel.values.T)
     dist = mel_distances(ref.mel, syn.mel, path)
     has_pitch = ref.frame_pitch is not None and syn.frame_pitch is not None

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .audio import reject_non_finite
 from .cepstral import QuefrencyPower
 
 
@@ -36,7 +37,7 @@ class MetricConfig:
     """Shared metric parameters.
 
     ``cutoff_q`` defaults to floor(0.25 * Q) when left as None, resolved
-    against the actual quefrency count at call time.
+    against the actual quefrency count at call time.  No value is NaN or inf.
     """
 
     cutoff_q: int | None = None
@@ -44,6 +45,7 @@ class MetricConfig:
     soft_tau: float = 50.0
 
     def __post_init__(self):
+        reject_non_finite(self)
         if self.eps <= 0:
             raise ValueError("eps must be positive")
         if self.soft_tau < 0:
@@ -125,16 +127,18 @@ METRIC_LABELS = {
 
 
 class UtteranceMetrics:
-    """Framewise metric series over the non-degenerate frames of an utterance:
-    ``frame_indices`` and one array per ``SERIES`` metric, named after it."""
+    """Framewise metric series over the usable frames of an utterance: ``frame_indices``, those frames
+    on a grid of ``grid_frames`` (the quefrency power's), and one array per ``SERIES`` metric, named after it."""
 
-    def __init__(self, frame_indices: np.ndarray, **series: np.ndarray):
+    def __init__(self, frame_indices: np.ndarray, grid_frames: int, **series: np.ndarray):
         self.frame_indices = frame_indices
+        self.grid_frames = grid_frames
         for name in METRIC_NAMES:
             setattr(self, name, series[name])
 
     @property
     def n_frames(self) -> int:
+        """The count of usable frames, one row of each series per frame; ``grid_frames`` counts them all."""
         return self.frame_indices.size
 
     @property
@@ -193,4 +197,4 @@ def utterance_metrics(p: QuefrencyPower, cfg: MetricConfig = MetricConfig()) -> 
     if not keep.any():
         raise DegenerateFrameError("all frames degenerate")
     power = p.power[:, keep]
-    return UtteranceMetrics(np.flatnonzero(keep), **{name: fn(power, cfg) for name, fn in SERIES.items()})
+    return UtteranceMetrics(np.flatnonzero(keep), keep.size, **{name: fn(power, cfg) for name, fn in SERIES.items()})

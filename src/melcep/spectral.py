@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .audio import Waveform
+from .audio import Waveform, reject_non_finite
 
 BLOB_MAGIC = b"LMSB"
 
@@ -56,6 +56,7 @@ class MelConfig:
     clamp_floor: float = 1e-5
 
     def __post_init__(self):
+        reject_non_finite(self)
         if not self.f_min < self.f_max:
             raise ValueError("f_min must be below f_max")
         if self.n_mels < 2:

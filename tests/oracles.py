@@ -320,6 +320,33 @@ def silence_mask_loop(x: np.ndarray, rate: int, threshold_db: float) -> np.ndarr
     return mask
 
 
+def cap_silences_loop(x: np.ndarray, mask: np.ndarray, max_len: int) -> tuple[np.ndarray, list]:
+    """The silence cap walked one sample at a time: each True run of ``mask``
+    longer than ``max_len`` keeps ``max_len`` samples (a leading run its
+    tail, a trailing run its head, an interior run max_len // 2 at its
+    start and the rest at its end).  Returns the kept samples and the
+    (start, length) of each stretch taken out."""
+    keep = np.ones(x.size, dtype=bool)
+    removed = []
+    start = None
+    for k in range(mask.size + 1):
+        silent = k < mask.size and mask[k]
+        if silent and start is None:
+            start = k
+        if not silent and start is not None:
+            if k - start > max_len:
+                if start == 0:
+                    lo, hi = 0, k - max_len
+                elif k == mask.size:
+                    lo, hi = start + max_len, k
+                else:
+                    lo, hi = start + max_len // 2, k - (max_len - max_len // 2)
+                keep[lo:hi] = False
+                removed.append((lo, hi - lo))
+            start = None
+    return x[keep], removed
+
+
 def metrics_csv_rows(frame_indices, hqer, cslope, ccentroid, croll95) -> str:
     """Per-frame metric CSV written row by row from numpy scalars."""
     out = ["frame_index,hqer,cslope,ccentroid,croll95\n"]

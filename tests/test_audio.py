@@ -22,7 +22,7 @@ from melcep.audio import (
 )
 
 from conftest import SR, speechlike, tone, write_wav_bytes
-from oracles import gate_silent_segments, silence_mask_loop
+from oracles import cap_silences_loop, gate_silent_segments, silence_mask_loop
 
 
 def test_load_pcm16_silence(tmp_path):
@@ -126,6 +126,18 @@ def test_cap_silences_records_what_it_removed():
     w = Waveform(y, SR, removed)
     assert w.source_length == x.size
     assert np.array_equal(x[w.source_positions(np.arange(y.size))], y)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.booleans(), min_size=1, max_size=40), st.integers(1, 8))
+def test_cap_silences_equals_the_sample_loop(mask, max_len):
+    """The run edges and the kept slices against a per-sample walk; the input is left as it was."""
+    mask = np.asarray(mask)
+    x = np.arange(mask.size, dtype=np.float64)
+    y, removed = audio._cap_silences(x, mask, max_len)
+    expected_y, expected_removed = cap_silences_loop(x, mask, max_len)
+    assert np.array_equal(y, expected_y) and removed.tolist() == [list(r) for r in expected_removed]
+    assert np.array_equal(x, np.arange(mask.size))
 
 
 def test_preprocess_reports_the_capped_pause():

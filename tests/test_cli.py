@@ -1,6 +1,8 @@
 import csv
+import dataclasses
 import functools
 import json
+import math
 import multiprocessing
 import os
 import shutil
@@ -16,8 +18,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from melcep import cli
+from melcep.audio import PreprocessConfig
 from melcep.cli import AGGREGATE_MEASURES, MANIFEST_FIELDS, UsageError, load_run_config, main, read_manifest
-from melcep.spectral import read_blob
+from melcep.osmetrics import MetricConfig
+from melcep.spectral import MelConfig, read_blob
 
 from conftest import SR, speechlike, tone, write_wav_bytes
 
@@ -464,7 +468,7 @@ def test_config_keys_are_the_section_fields_but_soft_tau(tmp_path):
     config.write_text("target_level_dbfs = NONE\n")
     assert load_run_config(config).preprocess.target_level_dbfs is None
     config.write_text("target_level_dbfs = off\n")
-    with pytest.raises(UsageError, match="config line 1: bad value for target_level_dbfs: expected a finite number"):
+    with pytest.raises(UsageError, match="config line 1: bad value for target_level_dbfs: could not convert string"):
         load_run_config(config)
     config.write_text("target_level_dbfs = 0\n")  # full scale, the highest target accepted
     assert load_run_config(config).preprocess.target_level_dbfs == 0.0
@@ -952,6 +956,17 @@ def test_config_error_names_its_key(corpus, tmp_path, capsys, config, message):
     assert main(["features", "--manifest", str(corpus[1]), "--out", str(out), "--config", str(cfg)]) == 1
     assert capsys.readouterr().err == f"error: invalid configuration: {message}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=str)
+@pytest.mark.parametrize("cls, name", [(cls, f.name) for cls in (PreprocessConfig, MelConfig, MetricConfig)
+                                       for f in dataclasses.fields(cls)], ids=lambda v: getattr(v, "__name__", v))
+def test_config_classes_reject_non_finite_values(cls, name, value):
+    """Library callers reach the classes without the config file's parser,
+    which once held the only NaN and inf check: MetricConfig(eps=nan) made
+    every CSlope nan."""
+    with pytest.raises(ValueError, match=f"^{name} must be finite, got {value}$"):
+        cls(**{name: value})
 
 
 def test_fewest_mel_bands_and_loudest_silence_threshold_load(corpus, tmp_path):

@@ -514,14 +514,16 @@ def test_metric_curve_mae_offset_in_one_metric(rng):
     assert mae.cslope == 0.0 and mae.ccentroid == 0.0 and mae.croll95 == 0.0
 
 
-def test_metric_curve_mae_skips_pairs_with_an_unusable_frame():
-    def um(frames, hqer):
-        hqer = np.asarray(hqer, dtype=float)
-        return UtteranceMetrics(np.asarray(frames), hqer=hqer, cslope=0 * hqer, ccentroid=0 * hqer,
-                                croll95=np.zeros(hqer.size, dtype=int))
+def _um_on_grid(frames, hqer, grid_frames):
+    """Metrics with ``hqer`` on the usable ``frames`` of a ``grid_frames`` grid, the other series 0."""
+    hqer = np.asarray(hqer, dtype=float)
+    return UtteranceMetrics(np.asarray(frames), grid_frames, hqer=hqer, cslope=0 * hqer, ccentroid=0 * hqer,
+                            croll95=np.zeros(hqer.size, dtype=int))
 
-    ref = um([0, 1, 3], [0.5, 0.6, 0.7])  # frame 2 is unusable
-    syn = um([0, 1, 2, 3], [0.5, 0.6, 9.0, 0.8])
+
+def test_metric_curve_mae_skips_pairs_with_an_unusable_frame():
+    ref = _um_on_grid([0, 1, 3], [0.5, 0.6, 0.7], 4)  # frame 2 is unusable
+    syn = _um_on_grid([0, 1, 2, 3], [0.5, 0.6, 9.0, 0.8], 4)
     diagonal = DtwPath(np.repeat(np.arange(4), 2).reshape(-1, 2))
     for path in (diagonal, None):
         assert metric_curve_mae(ref, syn, path).hqer == pytest.approx(0.1 / 3, abs=1e-15)
@@ -529,7 +531,38 @@ def test_metric_curve_mae_skips_pairs_with_an_unusable_frame():
     path = DtwPath(np.array([[0, 0], [1, 1], [1, 2], [2, 2], [3, 3]]))
     assert metric_curve_mae(ref, syn, path).hqer == pytest.approx((8.4 + 0.1) / 4, abs=1e-15)
     # no pair has two usable frames
-    assert metric_curve_mae(um([0], [0.5]), um([1], [0.5]), DtwPath(np.array([[0, 0], [1, 1]]))) == (None,) * 4
+    none_both = _um_on_grid([0], [0.5], 2), _um_on_grid([1], [0.5], 2)
+    assert metric_curve_mae(*none_both, DtwPath(np.array([[0, 0], [1, 1]]))) == (None,) * 4
+    assert metric_curve_mae(*none_both) == (None,) * 4
+
+
+def test_metric_curve_mae_without_a_path_needs_equal_grids(rng):
+    """Like the mel and pitch scorers, it pairs frame k with frame k only on
+    grids of equal length; it once scored 5 and 9 frames over the union of
+    their usable frames."""
+    ref, syn = (_um([speechy_frame(rng) for _ in range(n)]) for n in (5, 9))
+    assert (ref.grid_frames, syn.grid_frames) == (5, 9)
+    with pytest.raises(ValueError, match="^sequences of 5 and 9 frames need a path to be paired$"):
+        metric_curve_mae(ref, syn)
+
+
+def _union_path_mae(ref, syn):
+    """The pairing ``metric_curve_mae`` used without a path before records knew
+    their grid: frame k with frame k over the union of both usable sets."""
+    frames = np.union1d(ref.frame_indices, syn.frame_indices)
+    return metric_curve_mae(ref, syn, DtwPath(np.stack([frames, frames], axis=1)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 12).flatmap(lambda n: st.tuples(*[st.lists(st.booleans(), min_size=n, max_size=n)
+                                                        .filter(any)] * 2)),  # utterance_metrics keeps a frame
+       st.integers(0, 2**32 - 1))
+def test_metric_curve_mae_on_equal_grids_is_the_diagonal_and_the_union(masks, seed):
+    rng = np.random.default_rng(seed)
+    ref, syn = (_um_on_grid(np.flatnonzero(mask), rng.random(sum(mask)), len(mask)) for mask in masks)
+    mae = metric_curve_mae(ref, syn)
+    assert mae == metric_curve_mae(ref, syn, compare._diagonal(len(masks[0]), len(masks[1])))
+    assert mae == _union_path_mae(ref, syn)
 
 
 def test_build_report_scores_pitch_on_the_frame_grid(rng):
@@ -543,6 +576,23 @@ def test_build_report_scores_pitch_on_the_frame_grid(rng):
     report = build_report(ref, syn)
     assert (report.f0_rmse, report.vuv_error) == (0.0, 0.0)
     assert report.delta_mu_f0 == pytest.approx(120.0 - 215.0)
+
+
+@pytest.mark.parametrize("side", ["ref", "syn"])
+def test_build_report_needs_each_bundles_parts_on_its_mel_grid(rng, side):
+    """A 7-value frame_pitch on a 5-frame mel once failed deep in
+    pitch_metrics, at the path's end; the bundle check names side, part and counts."""
+    frames = [speechy_frame(rng) for _ in range(5)]
+    good = _bundle(frames, [110.0, 0.0, 120.0, 118.0, 0.0])
+    long_pitch = _bundle(frames, [110.0, 0.0, 120.0, 118.0, 0.0, 121.0, 122.0])
+    pair = (long_pitch, good) if side == "ref" else (good, long_pitch)
+    with pytest.raises(ValueError, match=f"^the {side} bundle's frame_pitch covers 7 frames, its mel 5$"):
+        build_report(*pair)
+    six = _um([speechy_frame(rng) for _ in range(6)])
+    pair = [good, good]
+    pair[side == "syn"] = dataclasses.replace(good, metrics=six)
+    with pytest.raises(ValueError, match=f"^the {side} bundle's metrics covers 6 frames, its mel 5$"):
+        build_report(*pair)
 
 
 def test_build_report_needs_each_bundles_mel(rng):
