@@ -365,8 +365,8 @@ def build_report(ref: UtteranceBundle, syn: UtteranceBundle) -> ComparisonReport
     for side, b in (("ref", ref), ("syn", syn)):
         if b.mel is None:
             raise ValueError(f"build_report aligns the bundles by their mel, which the {side} bundle lacks")
-        grids = {"metrics": b.metrics.grid_frames, "frame_pitch": b.frame_pitch and b.frame_pitch.f0.size}
-        for part, count in grids.items():
+        pitch_frames = None if b.frame_pitch is None else b.frame_pitch.f0.size
+        for part, count in (("metrics", b.metrics.grid_frames), ("frame_pitch", pitch_frames)):
             if count not in (None, b.mel.n_frames):
                 raise ValueError(f"the {side} bundle's {part} covers {count} frames, its mel {b.mel.n_frames}")
     path, _ = dtw_align(ref.mel.values.T, syn.mel.values.T)
