@@ -229,10 +229,10 @@ def read_manifest(path, required=("utterance_id", "ref_wav")) -> list[ManifestEn
 
 def analyze(wav_path, f0_path=None, token_count: int | None = None,
             run: RunConfig = RunConfig()) -> cmp.UtteranceBundle:
-    """The per-wav pipeline of every subcommand, as one bundle: ``load_wav``,
-    ``preprocess``, ``log_mel`` (the bundle's ``mel``), ``mel_cepstrogram``,
-    ``quefrency_power``, ``utterance_metrics`` and, given a pitch CSV, the
-    contour as read (``pitch``) and on the log-mel frame grid (``frame_pitch``).
+    """The per-wav pipeline of every subcommand: ``load_wav``, ``preprocess``
+    and ``log_mel``, then ``analyze_mel`` on the log-mel and the silence-capped
+    duration.  Given a pitch CSV, the bundle holds the contour as read
+    (``pitch``) and on the log-mel frame grid (``frame_pitch``).
 
     The CSV's row k is the frame of samples k*hop to (k+1)*hop of the
     resampled wav, before the silence cap; a CSV whose row count is more
@@ -241,7 +241,6 @@ def analyze(wav_path, f0_path=None, token_count: int | None = None,
     """
     wave = preprocess(load_wav(wav_path), run.preprocess)
     mel = log_mel(wave, run.stft, run.mel)
-    metrics = utterance_metrics(quefrency_power(mel_cepstrogram(mel)), run.metric)
     pitch = frame_pitch = None
     if f0_path is not None:
         hop = run.stft.hop
@@ -252,7 +251,17 @@ def analyze(wav_path, f0_path=None, token_count: int | None = None,
                              f"of {hop} samples at {run.preprocess.target_rate} Hz")
         rows = np.minimum(wave.source_positions(np.arange(mel.n_frames) * hop + hop // 2) // hop, n_rows - 1)
         frame_pitch = cmp.PitchContour(pitch.f0[rows], pitch.voiced[rows])
-    return cmp.UtteranceBundle(duration_s=wave.duration_s, metrics=metrics, pitch=pitch, token_count=token_count,
+    return analyze_mel(mel, wave.duration_s, pitch, token_count, run, frame_pitch)
+
+
+def analyze_mel(mel: spectral.LogMelSpectrogram, duration_s: float, pitch=None, token_count: int | None = None,
+                run: RunConfig = RunConfig(), frame_pitch=None) -> cmp.UtteranceBundle:
+    """One log-mel, such as a model's prediction, as one bundle: ``mel_cepstrogram``,
+    ``quefrency_power`` and ``utterance_metrics`` under ``run.metric``.  The speaking
+    rate divides ``token_count`` by ``duration_s``; ``frame_pitch``, one value per
+    mel frame, defaults to ``pitch``, the contour the utterance measures use."""
+    metrics = utterance_metrics(quefrency_power(mel_cepstrogram(mel)), run.metric)
+    return cmp.UtteranceBundle(duration_s=duration_s, metrics=metrics, pitch=pitch, token_count=token_count,
                                frame_pitch=frame_pitch, mel=mel)
 
 

@@ -86,7 +86,7 @@ MEASURES = ("mu_f0", "sigma_f0", "spr", *METRIC_NAMES)
 
 @dataclass
 class UtteranceBundle:
-    """One utterance's measurements, the record ``cli.analyze`` returns.
+    """One utterance's measurements, as ``cli.analyze_mel`` (and so ``cli.analyze``) returns them.
 
     ``pitch`` is the contour as read, which the utterance measures use.
     ``frame_pitch`` is the same contour with one value per log-mel frame,

@@ -57,6 +57,8 @@ class MelConfig:
 
     def __post_init__(self):
         reject_non_finite(self)
+        if self.f_min < 0:
+            raise ValueError(f"f_min must be at least 0 Hz, got {self.f_min:g}")
         if not self.f_min < self.f_max:
             raise ValueError("f_min must be below f_max")
         if self.n_mels < 2:
@@ -67,7 +69,7 @@ class MelConfig:
 
 @dataclass
 class LogMelSpectrogram:
-    """Natural-log mel amplitudes, bands x frames."""
+    """Natural-log mel amplitudes, bands x frames, every value finite."""
 
     values: np.ndarray
 
@@ -75,6 +77,8 @@ class LogMelSpectrogram:
         self.values = np.asarray(self.values, dtype=np.float64)
         if self.values.ndim != 2:
             raise ValueError("values must be a 2-D bands x frames matrix")
+        if (bad := ~np.isfinite(self.values)).any():  # such a cell would drop its frame from the metrics unnoticed
+            raise ValueError(f"log-mel values must be finite; [band, frame] {np.argwhere(bad)[0].tolist()} is not")
 
     @property
     def n_bands(self) -> int:

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .audio import reject_non_finite
 from .cepstral import mel_cepstrogram, quefrency_power
 from .osmetrics import SERIES, MetricConfig, usable_frames
 from .spectral import LogMelSpectrogram, MelConfig
@@ -65,6 +66,7 @@ class DegradationSpec:
     strength: float
 
     def __post_init__(self):
+        reject_non_finite(self)
         if self.kind not in KINDS:
             raise ValueError(f"unknown degradation kind {self.kind!r}")
         if self.kind == "variance_shrink":
@@ -192,8 +194,8 @@ def run_monotonicity_suite(
 
     ``series_fns`` lets tests inject a fake metric as a negative control.
     """
-    if n_spectrograms < 1:
-        raise ValueError("n_spectrograms must be at least 1")
+    if n_spectrograms < 1 or n_frames < 1:  # either would check no frame and pass
+        raise ValueError(f"n_spectrograms and n_frames must be at least 1, got {n_spectrograms} and {n_frames}")
     cfg = MetricConfig()
     fns = series_fns or SERIES
     rng = np.random.default_rng(seed)

@@ -20,8 +20,9 @@ from hypothesis import strategies as st
 from melcep import cli
 from melcep.audio import PreprocessConfig
 from melcep.cli import AGGREGATE_MEASURES, MANIFEST_FIELDS, UsageError, load_run_config, main, read_manifest
-from melcep.osmetrics import MetricConfig
-from melcep.spectral import MelConfig, read_blob
+from melcep.compare import PitchContour, build_report
+from melcep.osmetrics import METRIC_NAMES, MetricConfig
+from melcep.spectral import LogMelSpectrogram, MelConfig, read_blob
 
 from conftest import SR, speechlike, tone, write_wav_bytes
 
@@ -928,6 +929,7 @@ def test_pool_is_capped_at_entry_count(corpus, tmp_path, monkeypatch):
         ("rolloff_fraction = 0.95", []),
         ("target_level_dbfs = off", []),  # none is the one spelling of no level normalization
         ("silence_trim_ms = 0.01", []),  # 0.22 samples, rounded to 0: a long pause would be deleted, not capped
+        ("f_min = -20", []),  # once ran, with a filterbank that reached below 0 Hz
     ],
 )
 def test_bad_config_values_exit_1_before_any_work(corpus, tmp_path, monkeypatch, config, flags):
@@ -948,6 +950,7 @@ def test_bad_config_values_exit_1_before_any_work(corpus, tmp_path, monkeypatch,
     ("n_mels = 3\ncutoff_q = 1", "n_mels must be at least 4 for the 3 quefrency bins of CSlope, got 3"),
     ("highpass_hz = 1e-9", "highpass_hz must be at least 10 Hz, got 1e-09"),
     ("silence_trim_ms = 0.01", "silence_trim_ms must keep at least one sample at 22050 Hz, got 0.01"),
+    ("f_min = -20", "f_min must be at least 0 Hz, got -20"),
 ])
 def test_config_error_names_its_key(corpus, tmp_path, capsys, config, message):
     cfg = tmp_path / "cfg.txt"
@@ -1435,10 +1438,45 @@ def test_pitch_deltas_use_the_csv_as_read(tmp_path):
     assert abs(bundle.frame_pitch.voiced_f0().mean() - ref.mean()) > 10.0
 
 
+def test_analyze_mel_rebuilds_the_bundles_that_compare_scores(tmp_path):
+    """analyze ends in analyze_mel: each bundle of a pair, rebuilt through
+    analyze_mel from analyze's mel, duration and contours, has the same
+    metric series, and the pair scores as compare's report.json, byte for
+    byte.  The reference's pause is one the silence cap shortens."""
+    x, f0 = _tones_around_pause(0.5)
+    short, short_f0 = _tones_around_pause(0.2)
+    manifest = _pair_manifest(tmp_path, {"pause": ((x, _rows(f0)), (short, _rows(short_f0)))})
+    assert main(["compare", "--manifest", str(manifest), "--out", str(tmp_path / "cmp")]) == 0
+    rebuilt = []
+    for side in ("ref", "syn"):
+        bundle = cli.analyze(tmp_path / f"pause.{side}.wav", tmp_path / f"pause.{side}.f0.csv")
+        again = cli.analyze_mel(bundle.mel, bundle.duration_s, bundle.pitch, frame_pitch=bundle.frame_pitch)
+        for name in ("frame_indices", *METRIC_NAMES):
+            assert np.array_equal(getattr(again.metrics, name), getattr(bundle.metrics, name))
+        assert again.metrics.grid_frames == bundle.metrics.grid_frames
+        rebuilt.append(again)
+    assert rebuilt[0].pitch.f0.size > rebuilt[0].mel.n_frames  # the cap removed frames
+    report = build_report(*rebuilt)
+    assert (tmp_path / "cmp" / "pause.report.json").read_text() == report.to_json() + "\n"
+
+
+def test_analyze_mel_takes_a_frame_grid_contour_once(rng):
+    """A contour with one value per mel frame, passed as pitch, is also the
+    frame_pitch the aligned scores use; the bundle keeps the mel it scored."""
+    mel = LogMelSpectrogram(rng.normal(-6.0, 1.2, (80, 12)))
+    f0 = np.where(np.arange(12) % 3, 140.0, 0.0)
+    bundle = cli.analyze_mel(mel, 0.14, PitchContour(f0, f0 > 0), token_count=7)
+    assert bundle.frame_pitch is bundle.pitch and bundle.mel is mel
+    assert bundle.measures()["spr"] == 7 / 0.14
+    assert build_report(bundle, bundle).f0_rmse == 0.0
+
+
 def test_readme_quick_start_runs_and_reports_what_compare_writes(tmp_path, monkeypatch):
     """The README's python block, run on a reference whose 0.5 s pause the
     silence cap shortens: the contour as read has more rows than the mel has
-    frames, and the recipe still scores pitch, as compare does."""
+    frames, and the recipe still scores pitch, as compare does.  The blob
+    that features writes scores through analyze_mel as its wav does, up to
+    float32 storage."""
     for side, pause_s in (("ref", 0.5), ("syn", 0.2)):
         x, f0 = _tones_around_pause(pause_s)
         write_wav_bytes(tmp_path / f"{side}.wav", x, SR, "float32")
@@ -1447,10 +1485,19 @@ def test_readme_quick_start_runs_and_reports_what_compare_writes(tmp_path, monke
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     (block,) = [part.split("```", 1)[0] for part in readme.split("```python\n")[1:]]
     monkeypatch.chdir(tmp_path)
+    _write_manifest(tmp_path / "utt.csv", [{"utterance_id": "utterance", "ref_wav": "utterance.wav"}],
+                    fields=("utterance_id", "ref_wav"))
+    assert main(["features", "--manifest", "utt.csv", "--out", "feat"]) == 0
     namespace = {}
     exec(compile(block, "README.md", "exec"), namespace)
     ref = namespace["ref"]
     assert ref.pitch.f0.size > ref.mel.n_frames == ref.frame_pitch.f0.size
+    utt, pred = namespace["utt"], namespace["pred"]
+    assert np.array_equal(pred.metrics.frame_indices, utt.metrics.frame_indices)
+    assert np.array_equal(pred.metrics.croll95, utt.metrics.croll95)
+    for name, rel in (("hqer", 1e-6), ("ccentroid", 1e-6)):
+        assert pred.metrics.means[name] == pytest.approx(utt.metrics.means[name], rel=rel)
+    assert pred.metrics.means["cslope"] == pytest.approx(utt.metrics.means["cslope"], rel=0, abs=1e-5)
     report = namespace["report"]
     assert report.f0_rmse is not None and report.vuv_error is not None
     pair = {"utterance_id": "pair", "ref_wav": "ref.wav", "syn_wav": "syn.wav", "f0_ref": "ref.f0.csv",

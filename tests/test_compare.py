@@ -14,7 +14,6 @@ from melcep.compare import (
     MEASURES,
     DtwPath,
     PitchContour,
-    UtteranceBundle,
     build_report,
     dtw_align,
     load_pitch_csv,
@@ -24,6 +23,7 @@ from melcep.compare import (
     utterance_deltas,
 )
 from melcep.cepstral import mel_cepstrogram, quefrency_power
+from melcep.cli import analyze_mel
 from melcep.osmetrics import UtteranceMetrics, utterance_metrics
 from melcep.spectral import LogMelSpectrogram
 
@@ -466,7 +466,7 @@ def _bundle(frames, f0=None, tokens=None, duration=1.0):
     if f0 is not None:
         f0 = np.asarray(f0, dtype=float)
         pitch = PitchContour(f0, f0 > 0)
-    return UtteranceBundle(duration_s=duration, metrics=_um(frames), pitch=pitch, token_count=tokens, mel=_mel(frames))
+    return analyze_mel(_mel(frames), duration, pitch, tokens)
 
 
 def test_utterance_deltas_identity(rng):
@@ -570,8 +570,8 @@ def test_build_report_scores_pitch_on_the_frame_grid(rng):
     frames = [speechy_frame(rng) for _ in range(4)]
     on_grid = PitchContour(np.array([100.0, 120.0, 0.0, 140.0]), np.array([True, True, False, True]))
     as_read = PitchContour(np.array([100.0, 120.0, 0.0, 0.0, 140.0, 500.0]), np.array([1, 1, 0, 0, 1, 1], bool))
-    ref = UtteranceBundle(duration_s=1.0, metrics=_um(frames), pitch=as_read, frame_pitch=on_grid, mel=_mel(frames))
-    syn = UtteranceBundle(duration_s=1.0, metrics=_um(frames), pitch=on_grid, mel=_mel(frames))
+    ref = analyze_mel(_mel(frames), 1.0, as_read, frame_pitch=on_grid)
+    syn = analyze_mel(_mel(frames), 1.0, on_grid)
     assert syn.frame_pitch is syn.pitch
     report = build_report(ref, syn)
     assert (report.f0_rmse, report.vuv_error) == (0.0, 0.0)

@@ -1,3 +1,4 @@
+import struct
 import tracemalloc
 
 import numpy as np
@@ -261,6 +262,21 @@ def test_blob_round_trip_bit_exact(tmp_path, rng):
     assert len(p1.read_bytes()) == 16 + 4 * s.n_bands * s.n_frames
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=str)
+def test_log_mel_rejects_non_finite_values(tmp_path, rng, bad):
+    """A NaN or inf cell once dropped its frame from the metrics without a
+    word: the other frames scored finite means.  The type refuses it, so a
+    blob read back, a degraded mel and a predicted mel are checked alike."""
+    values = rng.normal(-6.0, 1.2, (80, 10))
+    values[17, 3] = bad
+    with pytest.raises(ValueError, match=r"^log-mel values must be finite; \[band, frame\] \[17, 3\] is not$"):
+        LogMelSpectrogram(values)
+    path = tmp_path / "bad.lmel"
+    path.write_bytes(spectral.BLOB_MAGIC + struct.pack("<IIi", 80, 10, 0) + values.astype("<f4").tobytes())
+    with pytest.raises(ValueError, match=r"\[17, 3\] is not$"):
+        read_blob(path)
+
+
 def test_blob_rejects_garbage(tmp_path):
     path = tmp_path / "junk.lmel"
     path.write_bytes(b"not a blob at all")
@@ -299,6 +315,10 @@ def test_stft_config_validation():
     for floor in (0.0, -1e-5):
         with pytest.raises(ValueError, match="^clamp_floor must be positive$"):
             MelConfig(clamp_floor=floor)
+    # -20 once built a filterbank, and -100 failed only as a band without FFT-bin support
+    for f_min in (-1e-9, -20.0, -100.0):
+        with pytest.raises(ValueError, match=f"^f_min must be at least 0 Hz, got {f_min:g}$"):
+            MelConfig(f_min=f_min)
     with pytest.raises(ValueError, match="^values must be a 2-D bands x frames matrix$"):
         LogMelSpectrogram(np.zeros(80))
 

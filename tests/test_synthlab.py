@@ -7,6 +7,7 @@ from melcep.osmetrics import SERIES, MetricConfig, ccentroid_series, hqer_series
 from melcep.spectral import LogMelSpectrogram
 from melcep.synthlab import (
     FILTER_STRENGTHS,
+    KINDS,
     DegradationSpec,
     DEFAULT_SEED,
     _gaussian_kernel,
@@ -75,6 +76,11 @@ def test_degrade_rejects_bad_strength():
         DegradationSpec("variance_shrink", 1.5)
     with pytest.raises(ValueError):
         DegradationSpec("spectral_warp", 3)
+    # an infinite width once raised OverflowError from int()
+    for kind in KINDS:
+        for strength in (np.inf, -np.inf, np.nan):
+            with pytest.raises(ValueError, match=f"^strength must be finite, got {strength}$"):
+                DegradationSpec(kind, strength)
 
 
 def test_harmonic_ripple_centroid_near_expected():
@@ -198,3 +204,10 @@ def test_filter_degradations_equal_ndimage_mirror(rng, kind):
 def test_suite_rejects_fewer_than_one_spectrogram(n):
     with pytest.raises(ValueError, match="n_spectrograms"):
         run_monotonicity_suite(n_spectrograms=n)
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_suite_rejects_spectrograms_of_fewer_than_one_frame(n):
+    """n_frames = 0 once passed every row with 0 frames checked."""
+    with pytest.raises(ValueError, match=f"^n_spectrograms and n_frames must be at least 1, got 2 and {n}$"):
+        run_monotonicity_suite(n_spectrograms=2, n_frames=n)
