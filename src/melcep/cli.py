@@ -29,25 +29,13 @@ from . import compare as cmp
 from . import spectral, stats, synthlab
 from .audio import PreprocessConfig, load_wav, preprocess
 from .cepstral import mel_cepstrogram, quefrency_power
-from .osmetrics import METRIC_LABELS, METRIC_NAMES, SERIES, MetricConfig, utterance_metrics
+from .osmetrics import SERIES, MetricConfig, utterance_metrics
 from .spectral import MelConfig, StftConfig, log_mel
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_PARTIAL = 2
 EXIT_PROPERTY = 3
-
-# Aggregate row labels for the compare table, in report-field order.
-AGGREGATE_MEASURES = (
-    ("L1", "l1", 1.0),
-    ("L2", "l2", 1.0),
-    ("SConv", "sconv", 1.0),
-    ("f0_RMSE/Hz", "f0_rmse", 1.0),
-    ("Pearson r", "pearson_r", 1.0),
-    ("E_V/UV", "vuv_error", 1.0),
-    *((f"MAE({label})/{unit}", f"mae_{name}", scale)
-      for name in METRIC_NAMES for label, unit, scale in [METRIC_LABELS[name]]),
-)
 
 
 class UsageError(Exception):
@@ -272,13 +260,21 @@ def _features_worker(payload) -> None:
     bundle.metrics.to_csv(csv_path)
 
 
+class _SideError(Exception):
+    """A failure raised while one side of a pair was analysed, the side its one argument."""
+
+
 def _compare_worker(payload) -> cmp.ComparisonReport:
     entry, run, (report_path,) = payload
     if entry.syn_wav is None:
         raise ValueError("entry has no syn_wav")
-    ref = analyze(entry.ref_wav, entry.f0_ref, entry.token_count, run)
-    syn = analyze(entry.syn_wav, entry.f0_syn, entry.token_count, run)
-    report = cmp.build_report(ref, syn)
+    bundles = []
+    for side, wav, f0 in (("ref", entry.ref_wav, entry.f0_ref), ("syn", entry.syn_wav, entry.f0_syn)):
+        try:
+            bundles.append(analyze(wav, f0, entry.token_count, run))
+        except Exception as exc:
+            raise _SideError(side) from exc
+    report = cmp.build_report(*bundles)
     report_path.write_text(report.to_json() + "\n", encoding="utf-8")
     return report
 
@@ -295,9 +291,12 @@ def _stats_worker(payload) -> stats.UtteranceStats:
 
 
 def _message(exc: BaseException) -> str:
-    """``Type: text`` on one line: each control character, such as one in a
-    wav path, is written as its Python escape (``\\t``, ``\\n``, ``\\x1b``)."""
-    return _CONTROL_CHAR.sub(lambda m: repr(m.group())[1:-1], f"{type(exc).__name__}: {exc}")
+    """``Type: text`` on one line, after ``<side>: `` for a ``_SideError``: each control
+    character, such as one in a wav path, is written as its Python escape (``\\t``, ``\\n``, ``\\x1b``)."""
+    side = ""
+    if isinstance(exc, _SideError):
+        side, exc = f"{exc.args[0]}: ", exc.__cause__
+    return _CONTROL_CHAR.sub(lambda m: repr(m.group())[1:-1], f"{side}{type(exc).__name__}: {exc}")
 
 
 def _guarded(worker, payloads) -> list[tuple[str | None, object]]:
@@ -412,12 +411,7 @@ def cmd_compare(args, run: RunConfig) -> int:
     out_dir = _out_dir(args.out)
     jobs = _output_jobs(entries, run, out_dir, ".report.json")
     done, failed = _run_batch(_compare_worker, jobs, args.workers, out_dir)
-    reports = [report for _, report in done]
-    lines = ["measure,mean,std,count"]
-    for label, field_name, scale in AGGREGATE_MEASURES:
-        m = stats.summarize_values(stats.measure_values(reports, field_name) * scale)
-        lines.append(f"{label},,,0" if m is None else f"{label},{m.mean:.6g},{m.std:.6g},{m.count}")
-    (out_dir / "aggregate.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    (out_dir / "aggregate.csv").write_text(cmp.aggregate_csv([report for _, report in done]), encoding="utf-8")
     return EXIT_PARTIAL if failed else EXIT_OK
 
 
@@ -436,18 +430,10 @@ def cmd_corpus_stats(args, run: RunConfig) -> int:
             if not corpus:
                 print(f"error: no usable entries in manifest {label}", file=sys.stderr)
         return EXIT_PARTIAL
-
-    lines = ["measure,mean_a,std_a,median_a,count_a,mean_b,std_b,median_b,count_b,p_value"]
-    for name in stats.MEASURES:
-        values = [stats.measure_values(corpus, name) for corpus in corpora]
-        summaries = [stats.summarize_values(v) for v in values]
-        if None in summaries:
-            print(f"warning: measure {name} missing from a corpus; row omitted", file=sys.stderr)
-            continue
-        _, p = stats.mann_whitney_u(*values)
-        cells = [f"{m.mean:.6g},{m.std:.6g},{m.median:.6g},{m.count}" for m in summaries]
-        lines.append(",".join([name, *cells, f"{p:.6g}"]))
-    out.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    table, omitted = stats.stats_csv(*corpora)
+    for name in omitted:
+        print(f"warning: measure {name} missing from a corpus; row omitted", file=sys.stderr)
+    out.write_text(table, encoding="utf-8")
     return EXIT_PARTIAL if failed else EXIT_OK
 
 
@@ -464,12 +450,9 @@ def cmd_synthlab(args) -> int:
         series_fns=series_fns,
     )
     (out_dir / "monotonicity.csv").write_text(report.to_csv(), encoding="utf-8")
-    prop_lines = []
-    for res in report.results:
-        status = "PASS" if res.passed else "FAIL"
-        prop_lines.append(f"{status} monotonicity {res.kind} strength={res.strength:.6g}")
-        print(prop_lines[-1])
-    (out_dir / "properties.txt").write_text("\n".join(prop_lines) + "\n", encoding="utf-8")
+    properties = report.to_properties()
+    print(properties, end="")
+    (out_dir / "properties.txt").write_text(properties, encoding="utf-8")
     return EXIT_OK if report.passed else EXIT_PROPERTY
 
 

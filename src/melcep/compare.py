@@ -18,8 +18,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .audio import PreprocessConfig
-from .osmetrics import METRIC_NAMES, UtteranceMetrics
+from .osmetrics import METRIC_LABELS, METRIC_NAMES, UtteranceMetrics
 from .spectral import LogMelSpectrogram, StftConfig
+from .stats import measure_values, summarize_values
 
 _NORM_EPS = 1e-12
 # Largest n1 x n2 that ``dtw_align`` takes, checked before it allocates.  Its
@@ -139,6 +140,25 @@ class ComparisonReport(NamedTuple("ComparisonReport", [(name, float | None) for 
     def to_json(self) -> str:
         """The fields in order as a JSON object, each number rounded to 6 significant digits."""
         return json.dumps({name: None if v is None else float(format(v, ".6g")) for name, v in zip(self._fields, self)})
+
+
+# The aggregate.csv rows: label, ComparisonReport field and scale, in report-field order.
+AGGREGATE_MEASURES = (
+    ("L1", "l1", 1.0), ("L2", "l2", 1.0), ("SConv", "sconv", 1.0),
+    ("f0_RMSE/Hz", "f0_rmse", 1.0), ("Pearson r", "pearson_r", 1.0), ("E_V/UV", "vuv_error", 1.0),
+    *((f"MAE({label})/{unit}", f"mae_{name}", scale)
+      for name in METRIC_NAMES for label, unit, scale in [METRIC_LABELS[name]]),
+)
+
+
+def aggregate_csv(reports) -> str:
+    """``aggregate.csv``: per ``AGGREGATE_MEASURES`` row, the mean, population std and
+    count of the scaled field over the reports that have it; ``,,,0`` where none has."""
+    lines = ["measure,mean,std,count"]
+    for label, name, scale in AGGREGATE_MEASURES:
+        m = summarize_values(measure_values(reports, name) * scale)
+        lines.append(f"{label},,,0" if m is None else f"{label},{m.mean:.6g},{m.std:.6g},{m.count}")
+    return "\n".join(lines) + "\n"
 
 
 def _pairwise_distance(a: np.ndarray, b: np.ndarray, distance: str, out: np.ndarray) -> None:
@@ -384,27 +404,31 @@ def load_pitch_csv(path, hop: int = StftConfig.hop, sample_rate: int = Preproces
     rows whose cells are all blank are skipped.  Empty or non-positive f0
     cells mark unvoiced frames.  Frame times must start at 0 and be
     uniformly spaced at hop/sample_rate seconds (both within 1e-6 s).
+    Every ``ValueError`` names the file, also for text that is not UTF-8.
     """
     times: list[float] = []
     f0: list[float] = []
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [c.strip() for c in header[:2]] != ["time_s", "f0_hz"]:
-            raise ValueError(f"pitch CSV {path!s} must start with header 'time_s,f0_hz'")
-        for row in reader:
-            if not any(cell.strip() for cell in row):
-                continue
-            cell = row[1].strip() if len(row) > 1 else ""
-            try:
-                t, hz = float(row[0]), float(cell) if cell else 0.0
-            except ValueError:
-                t = hz = math.nan
-            # a NaN time would pass the spacing check below: NaN > 1e-6 is False
-            if not (math.isfinite(t) and math.isfinite(hz)):
-                raise ValueError(f"pitch CSV {path!s} row {reader.line_num}: expected finite numbers, got {row[:2]!r}")
-            times.append(t)
-            f0.append(hz)
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None or [c.strip() for c in header[:2]] != ["time_s", "f0_hz"]:
+                raise ValueError(f"pitch CSV {path!s} must start with header 'time_s,f0_hz'")
+            for row in reader:
+                if not any(cell.strip() for cell in row):
+                    continue
+                cell = row[1].strip() if len(row) > 1 else ""
+                try:
+                    t, hz = float(row[0]), float(cell) if cell else 0.0
+                except ValueError:
+                    t = hz = math.nan
+                # a NaN time would pass the spacing check below: NaN > 1e-6 is False
+                if not (math.isfinite(t) and math.isfinite(hz)):
+                    raise ValueError(f"pitch CSV {path!s} row {reader.line_num}: expected finite numbers, got {row[:2]!r}")
+                times.append(t)
+                f0.append(hz)
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise ValueError(f"cannot parse pitch CSV {path!s}: {exc}") from exc
     if not times:
         raise ValueError(f"pitch CSV {path!s} has no rows")
     if abs(times[0]) > 1e-6:

@@ -209,12 +209,15 @@ def write_blob(s: LogMelSpectrogram, path) -> None:
 
 
 def read_blob(path) -> LogMelSpectrogram:
-    """Read a ``write_blob`` file; a payload longer or shorter than its header declares raises ``ValueError``."""
+    """Read a ``write_blob`` file; a nonzero reserved field, or a payload longer or shorter
+    than its header declares, raises ``ValueError``."""
     with open(path, "rb") as fh:
         header = fh.read(16)
         if len(header) != 16 or header[:4] != BLOB_MAGIC:
             raise ValueError(f"not a log-mel blob: {path!s}")
-        n_bands, n_frames, _ = struct.unpack("<IIi", header[4:])
+        n_bands, n_frames, reserved = struct.unpack("<IIi", header[4:])
+        if reserved:
+            raise ValueError(f"log-mel blob {path!s} has reserved field {reserved}, not 0")
         payload = fh.read()
     size = 4 * n_bands * n_frames
     if len(payload) < size:

@@ -173,3 +173,18 @@ def mann_whitney_u(x, y) -> tuple[float, float]:
     if not has_ties and n1 + n2 <= EXACT_MAX_N:
         return float(u), exact_p(u, n1, n2)
     return float(u), normal_p(u, n1, n2, ranked)
+
+
+def stats_csv(corpus_a: list[UtteranceStats], corpus_b: list[UtteranceStats]) -> tuple[str, list[str]]:
+    """``stats.csv`` of two non-empty corpora: per measure, each corpus's ``summarize``
+    row and the ``mann_whitney_u`` p-value; and the measures a corpus lacks, left out."""
+    a, b = summarize(corpus_a).measures, summarize(corpus_b).measures
+    lines, omitted = ["measure,mean_a,std_a,median_a,count_a,mean_b,std_b,median_b,count_b,p_value"], []
+    for name in MEASURES:
+        if name not in a or name not in b:
+            omitted.append(name)
+            continue
+        _, p = mann_whitney_u(measure_values(corpus_a, name), measure_values(corpus_b, name))
+        cells = [f"{m.mean:.6g},{m.std:.6g},{m.median:.6g},{m.count}" for m in (a[name], b[name])]
+        lines.append(",".join([name, *cells, f"{p:.6g}"]))
+    return "\n".join(lines) + "\n", omitted

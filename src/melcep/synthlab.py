@@ -176,6 +176,12 @@ class SuiteReport:
             lines.append(",".join(row))
         return "\n".join(lines) + "\n"
 
+    def to_properties(self) -> str:
+        """``properties.txt``: one ``PASS`` or ``FAIL`` line per (kind, strength)."""
+        lines = [f"{'PASS' if r.passed else 'FAIL'} monotonicity {r.kind} strength={r.strength:.6g}"
+                 for r in self.results]
+        return "\n".join(lines) + "\n"
+
 
 def run_monotonicity_suite(
     n_spectrograms: int = 100,

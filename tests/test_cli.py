@@ -19,10 +19,12 @@ from hypothesis import strategies as st
 
 from melcep import cli
 from melcep.audio import PreprocessConfig
-from melcep.cli import AGGREGATE_MEASURES, MANIFEST_FIELDS, UsageError, load_run_config, main, read_manifest
-from melcep.compare import PitchContour, build_report
+from melcep.cli import MANIFEST_FIELDS, UsageError, load_run_config, main, read_manifest
+from melcep.compare import AGGREGATE_MEASURES, PitchContour, aggregate_csv, build_report
 from melcep.osmetrics import METRIC_NAMES, MetricConfig
 from melcep.spectral import LogMelSpectrogram, MelConfig, read_blob
+from melcep.stats import stats_csv
+from melcep.synthlab import run_monotonicity_suite
 
 from conftest import SR, speechlike, tone, write_wav_bytes
 
@@ -241,6 +243,47 @@ def test_compare_aggregate_labels_match_table(corpus, tmp_path):
     assert [m[0] for m in AGGREGATE_MEASURES] == labels
 
 
+def test_aggregate_csv_is_the_table_compare_writes(corpus, tmp_path):
+    """``compare.aggregate_csv`` of the pairs' reports is the aggregate.csv that compare writes."""
+    _, _, rows = corpus
+    # each reference against the next utterance, so that no row reads 0
+    shifted = [dict(r, syn_wav=rows[k - 1]["ref_wav"], f0_syn=rows[k - 1]["f0_ref"]) for k, r in enumerate(rows)]
+    manifest, out = tmp_path / "shifted.csv", tmp_path / "cmp"
+    _write_manifest(manifest, shifted)
+    assert main(["compare", "--manifest", str(manifest), "--out", str(out)]) == 0
+    reports = [build_report(cli.analyze(e.ref_wav, e.f0_ref, e.token_count), cli.analyze(e.syn_wav, e.f0_syn, e.token_count))
+               for e in read_manifest(manifest)]
+    assert (out / "aggregate.csv").read_bytes() == aggregate_csv(reports).encode()
+    assert all(float(line.split(",")[1]) != 0.0 for line in aggregate_csv(reports).splitlines()[1:4])
+
+
+def test_compare_failure_names_the_side_that_failed(corpus, tmp_path, capsys):
+    """A silent reference and a silent synthesis once logged the same line.
+    A failure of the entry or of the pair names no side."""
+    _, _, rows = corpus
+    silent, latin1 = tmp_path / "silent.wav", tmp_path / "latin1.f0.csv"
+    write_wav_bytes(silent, np.zeros(SR // 2), SR, "pcm16")
+    latin1.write_bytes(b"time_s,f0_hz\n0.0,\xff\n")
+    wav = rows[0]["ref_wav"]
+    pairs = [{"utterance_id": "ref_silent", "ref_wav": str(silent), "syn_wav": wav},
+             {"utterance_id": "syn_silent", "ref_wav": wav, "syn_wav": str(silent)},
+             {"utterance_id": "syn_latin1", "ref_wav": wav, "syn_wav": wav, "f0_syn": str(latin1)},
+             {"utterance_id": "no_syn", "ref_wav": wav}]
+    manifest, out = tmp_path / "m.csv", tmp_path / "cmp"
+    _write_manifest(manifest, pairs, fields=("utterance_id", "ref_wav", "syn_wav", "f0_syn"))
+    assert main(["compare", "--manifest", str(manifest), "--out", str(out)]) == 2
+    silence = "SilentSignalError: signal entirely silent after trimming"
+    assert (out / "errors.log").read_text().splitlines() == [
+        "no_syn\tValueError: entry has no syn_wav",
+        f"ref_silent\tref: {silence}",
+        f"syn_latin1\tsyn: ValueError: cannot parse pitch CSV {latin1}: "
+        "'utf-8' codec can't decode byte 0xff in position 17: invalid start byte",
+        f"syn_silent\tsyn: {silence}",
+    ]
+    err = capsys.readouterr().err
+    assert f"error: ref_silent: ref: {silence}\n" in err and f"error: syn_silent: syn: {silence}\n" in err
+
+
 def test_compare_constant_log_offset_pair(tmp_path):
     rng = np.random.default_rng(7)
     x = 0.08 * rng.normal(0, 1, int(0.7 * SR))
@@ -346,6 +389,22 @@ def test_corpus_stats_warns_on_missing_measure(corpus, tmp_path, capsys):
     assert "hqer" in measures
 
 
+def test_stats_csv_is_the_table_corpus_stats_writes(corpus, tmp_path, capsys):
+    """``stats.stats_csv`` of the two corpora's records is the table corpus-stats
+    writes, and the measures it leaves out are those the CLI warns about."""
+    _, manifest, rows = corpus
+    slim = tmp_path / "slim.csv"
+    _write_manifest(slim, [{"utterance_id": r["utterance_id"], "ref_wav": r["ref_wav"]} for r in rows[:2]],
+                    fields=("utterance_id", "ref_wav"))
+    out = tmp_path / "stats.csv"
+    assert main(["corpus-stats", "--manifest-a", str(manifest), "--manifest-b", str(slim), "--out", str(out)]) == 0
+    warned = [line.split()[2] for line in capsys.readouterr().err.splitlines()]
+    corpora = [[cli._stats_worker((e, load_run_config())) for e in read_manifest(m)] for m in (manifest, slim)]
+    table, omitted = stats_csv(*corpora)
+    assert out.read_bytes() == table.encode()
+    assert omitted == warned == ["phonemes_per_utterance", "spr", "mu_f0", "sigma_f0"]
+
+
 def test_synthlab_default_passes(tmp_path):
     out = tmp_path / "lab"
     assert main(["synthlab", "--out", str(out), "--spectrograms", "20"]) == 0
@@ -354,6 +413,14 @@ def test_synthlab_default_passes(tmp_path):
     props = (out / "properties.txt").read_text().strip().splitlines()
     assert len(props) == 11
     assert all(line.startswith("PASS") for line in props)
+
+
+def test_synthlab_prints_and_writes_the_suite_properties(tmp_path, capsys):
+    out = tmp_path / "lab"
+    assert main(["synthlab", "--out", str(out), "--spectrograms", "3"]) == 0
+    properties = run_monotonicity_suite(n_spectrograms=3).to_properties()
+    assert capsys.readouterr().out == (out / "properties.txt").read_text() == properties
+    assert properties.splitlines()[0] == "PASS monotonicity mel_moving_average strength=3"
 
 
 def test_synthlab_injected_fault_exit_3(tmp_path):
@@ -714,7 +781,7 @@ def test_header_only_pitch_csv_fails_its_entry(corpus, tmp_path):
     out = tmp_path / "cmp"
     assert main(["compare", "--manifest", str(manifest), "--out", str(out)]) == 2
     (line,) = (out / "errors.log").read_text().splitlines()
-    assert line == f"{rows[1]['utterance_id']}\tValueError: pitch CSV {header_only} has no rows"
+    assert line == f"{rows[1]['utterance_id']}\tref: ValueError: pitch CSV {header_only} has no rows"
 
 
 def test_wav_rate_past_the_resampler_bound_fails_its_entry(corpus, tmp_path):
@@ -882,6 +949,7 @@ def test_compare_all_entries_failing_writes_empty_aggregate(corpus, tmp_path, ca
     assert main(["compare", "--manifest", str(manifest), "--out", str(out)]) == 2
     expected = ["measure,mean,std,count"] + [f"{label},,,0" for label, _, _ in AGGREGATE_MEASURES]
     assert (out / "aggregate.csv").read_text().splitlines() == expected
+    assert (out / "aggregate.csv").read_bytes() == aggregate_csv([]).encode()
     assert len(expected) == 11
     assert len((out / "errors.log").read_text().splitlines()) == len(rows)
     assert capsys.readouterr().err.count("missing.wav") == len(rows)
@@ -1515,13 +1583,13 @@ def test_pitch_csv_of_another_utterance_fails_its_entry(corpus, tmp_path, comman
     _write_manifest(bad, swapped)
     if command == "compare":
         out = tmp_path / "cmp"
-        argv, log, key = ["compare", "--manifest", str(bad), "--out", str(out)], out / "errors.log", "utt01"
+        argv, log, key = ["compare", "--manifest", str(bad), "--out", str(out)], out / "errors.log", "utt01\tref: "
     else:
         out = tmp_path / "stats" / "stats.csv"
         argv = ["corpus-stats", "--manifest-a", str(bad), "--manifest-b", str(manifest), "--out", str(out)]
-        log, key = out.parent / "errors.log", "a\tutt01"
+        log, key = out.parent / "errors.log", "a\tutt01\t"
     assert main(argv) == 2
-    assert log.read_text() == (f"{key}\tValueError: pitch CSV {rows[2]['f0_ref']} has 77 rows, "
+    assert log.read_text() == (f"{key}ValueError: pitch CSV {rows[2]['f0_ref']} has 77 rows, "
                                "but its wav has 64 frames of 256 samples at 22050 Hz\n")
     if command == "compare":
         assert sorted(p.name for p in out.iterdir()) == ["aggregate.csv", "errors.log", "utt00.report.json",
@@ -1542,7 +1610,7 @@ def test_pitch_csv_that_starts_late_fails_its_entry(corpus, tmp_path):
     _write_manifest(manifest, rows + [dict(rows[0], utterance_id="zz_late", f0_syn=str(late))])
     out = tmp_path / "cmp"
     assert main(["compare", "--manifest", str(manifest), "--out", str(out)]) == 2
-    assert (out / "errors.log").read_text() == f"zz_late\tValueError: pitch CSV {late} starts at 5 s, not at 0\n"
+    assert (out / "errors.log").read_text() == f"zz_late\tsyn: ValueError: pitch CSV {late} starts at 5 s, not at 0\n"
     assert sorted(p.name for p in out.glob("*.report.json")) == [f"utt0{k}.report.json" for k in range(3)]
 
 
@@ -1593,7 +1661,7 @@ def test_failed_entry_leaves_no_outputs(corpus, tmp_path, command, suffixes):
     assert all((out / f"u1{suffix}").stat().st_size > 0 for suffix in suffixes)
     wav.rename(tmp_path / "gone.wav")
     assert main(argv) == 2
-    assert (out / "errors.log").read_text().startswith("u1\tFileNotFoundError: ")
+    assert (out / "errors.log").read_text().startswith("u1\t" + "ref: " * (command == "compare") + "FileNotFoundError: ")
     assert not list(out.glob("u1.*"))
     (tmp_path / "gone.wav").rename(wav)
     (out / f"u1{suffixes[0]}").mkdir()

@@ -715,6 +715,19 @@ def test_load_pitch_csv_rejects_non_finite_cells(tmp_path, rows, bad_row):
         load_pitch_csv(path)
 
 
+@pytest.mark.parametrize("content, cause", [
+    (b"time_s,f0_hz\n0.0,\xff\n", "'utf-8' codec can't decode byte 0xff in position 17: invalid start byte"),
+    (b"time_s,f0_hz\n0.0," + b"1" * (1 << 18) + b"\n", r"field larger than field limit \(131072\)"),
+], ids=["not-utf8", "field-over-the-csv-limit"])
+def test_load_pitch_csv_that_cannot_be_parsed_names_its_file(tmp_path, content, cause):
+    """The codec's and the csv module's errors reached errors.log without
+    the path, and a compare entry reads two CSVs."""
+    path = tmp_path / "f0.csv"
+    path.write_bytes(content)
+    with pytest.raises(ValueError, match=f"^cannot parse pitch CSV {re.escape(str(path))}: {cause}$"):
+        load_pitch_csv(path)
+
+
 def test_load_pitch_csv_rejects_bad_header(tmp_path):
     path = tmp_path / "f0.csv"
     path.write_text("time,f0\n0.0,100\n")

@@ -284,6 +284,18 @@ def test_blob_rejects_garbage(tmp_path):
         read_blob(path)
 
 
+def test_blob_with_a_nonzero_reserved_field_is_refused(tmp_path, rng):
+    """write_blob writes 0 in header bytes 12-15; a blob of another writer or
+    format version that sets them was read as this format."""
+    path = tmp_path / "a.lmel"
+    write_blob(LogMelSpectrogram(rng.normal(-6, 1, (3, 4))), path)
+    blob = path.read_bytes()
+    path.write_bytes(blob[:12] + struct.pack("<i", 7) + blob[16:])
+    with pytest.raises(ValueError) as info:
+        read_blob(path)
+    assert str(info.value) == f"log-mel blob {path} has reserved field 7, not 0"
+
+
 @pytest.mark.parametrize("edit, cause", [
     (lambda b: b[:-2], "is cut short: 46 of 48 payload bytes"),  # stops inside a float32
     (lambda b: b[:-4], "is cut short: 44 of 48 payload bytes"),
