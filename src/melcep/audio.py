@@ -56,7 +56,7 @@ def reject_non_finite(config) -> None:
 
 @dataclass
 class Waveform:
-    """Mono audio samples with their sample rate, full scale 1.0.  PCM16
+    """Mono audio samples with their sample rate, full scale 1.0.  PCM
     reads into [-1, 1); float32 samples are taken as stored, so they may lie
     above full scale.
 
@@ -132,7 +132,7 @@ class PreprocessConfig:
 
 
 def _read_wav(path) -> tuple[int, np.ndarray]:
-    """(rate, int16 or float32 samples, 2-D if multichannel) under ``load_wav``'s contract."""
+    """(rate, int16, int32 or float32 samples, 2-D if multichannel) under ``load_wav``'s contract."""
     with open(path, "rb") as fh:
         buf = fh.read()
     if len(buf) < 12 or buf[:4] != b"RIFF" or buf[8:12] != b"WAVE":
@@ -150,7 +150,7 @@ def _read_wav(path) -> tuple[int, np.ndarray]:
                     and buf[start + 28:start + 40] == _WAV_GUID_TAIL):
                 tag = struct.unpack_from("<I", buf, start + 24)[0]
             unsupported = (f"unsupported encoding: format tag {tag:#x}, {bits} bits, {channels} channel(s), "
-                           f"{block_align}-byte blocks; expected PCM16 or float32")
+                           f"{block_align}-byte blocks; expected PCM of 9-32 bits or float32")
             if tag not in (1, 3):
                 raise ValueError(unsupported)
             if tag == 1 and byte_rate != rate * block_align:
@@ -158,13 +158,20 @@ def _read_wav(path) -> tuple[int, np.ndarray]:
         elif cid == b"data":
             if rate is None:
                 raise ValueError("data chunk before the fmt chunk")
-            width = 2 if tag == 1 else 4
-            if channels < 1 or block_align != channels * width or not (9 <= bits <= 16 if tag == 1 else bits == 32):
+            width = -(-bits // 8) if tag == 1 else 4
+            if channels < 1 or block_align != channels * width or not (9 <= bits <= 32 if tag == 1 else bits == 32):
                 raise ValueError(unsupported)
-            count = (stop - start) // width
+            count, partial = divmod(stop - start, width)
             if count % channels:
                 raise ValueError(f"data chunk ends inside a {channels}-channel frame")
-            data = np.frombuffer(buf, "<i2" if tag == 1 else "<f4", count, start)
+            if width == 3:  # as scipy reads it: int32, the 3 bytes left-justified
+                if partial:
+                    raise ValueError("data chunk ends inside a 3-byte sample")
+                data = np.zeros((count, 4), np.uint8)
+                data[:, 1:] = np.frombuffer(buf, np.uint8, 3 * count, start).reshape(count, 3)
+                data = data.view("<i4")[:, 0]
+            else:
+                data = np.frombuffer(buf, "<f4" if tag == 3 else f"<i{width}", count, start)
             if channels > 1:
                 data = data.reshape(-1, channels)
         pos = start + size + size % 2
@@ -176,7 +183,7 @@ def _read_wav(path) -> tuple[int, np.ndarray]:
 
 
 def load_wav(path) -> Waveform:
-    """Read a WAV file as a mono Waveform: channels are averaged, PCM16 is
+    """Read a WAV file as a mono Waveform: channels are averaged, PCM is
     scaled to [-1, 1), float32 is taken as stored, unclipped, and the sample
     rate is passed through unchanged (resampling is the preprocessing
     stage's job).
@@ -184,16 +191,18 @@ def load_wav(path) -> Waveform:
     The file is ``RIFF``...``WAVE``, not RIFX or RF64.  Its ``fmt `` chunk has
     16 bytes or more (``WAVE_FORMAT_EXTENSIBLE`` with cbSize >= 22 and the
     standard GUID tail takes its subformat tag), comes before the ``data``
-    chunk and gives PCM (tag 1) with 2-byte samples and 9-16 bits, read as
-    int16, or IEEE float (tag 3) with 4-byte samples and 32 bits, read as
-    float32; block size = channels x sample bytes, channels >= 1, sample
-    rate > 0 and, for PCM, byte rate = sample rate x block size.  Chunks are
-    walked up to the smaller of the RIFF size + 8 and the file size: odd
-    sizes are padded, unknown chunks skipped and a chunk header cut short at
-    the end ignored.  A data chunk cut short gives the whole frames present;
-    one that ends inside a multichannel frame fails.  A breach raises
-    ``ValueError("unreadable WAV file <path>: <cause>")``; empty or
-    non-finite audio raises ValueError too.
+    chunk and gives PCM (tag 1) with 9-16 bits in 2-byte samples, read as
+    int16 and scaled by 2^-15, or with 17-24 bits in 3 bytes or 25-32 bits
+    in 4 bytes, read as int32 (3 bytes left-justified) and scaled by 2^-31,
+    or IEEE float (tag 3) with 4-byte samples and 32 bits, read as float32;
+    block size = channels x sample bytes, channels >= 1, sample rate > 0
+    and, for PCM, byte rate = sample rate x block size.  Chunks are walked
+    up to the smaller of the RIFF size + 8 and the file size: odd sizes are
+    padded, unknown chunks skipped and a chunk header cut short at the end
+    ignored.  A data chunk cut short gives the whole frames present; one
+    that ends inside a multichannel frame or a 3-byte sample fails.  A
+    breach raises ``ValueError("unreadable WAV file <path>: <cause>")``;
+    empty or non-finite audio raises ValueError too.
     """
     try:
         rate, data = _read_wav(path)
@@ -203,7 +212,7 @@ def load_wav(path) -> Waveform:
         raise ValueError(f"zero-length audio in {path!s}")
     if not np.isfinite(data).all():  # checked before the cast, which warns on a signaling NaN
         raise ValueError(f"non-finite samples in {path!s}")
-    x = data / 32768.0 if data.dtype == np.int16 else data.astype(np.float64)
+    x = data / 2.0 ** (8 * data.itemsize - 1) if data.dtype.kind == "i" else data.astype(np.float64)
     if x.ndim == 2:
         x = x.mean(axis=1)
     return Waveform(x, rate)

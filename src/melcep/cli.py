@@ -49,9 +49,10 @@ def _keep_freed_heap() -> None:
     For short utterances that is about 0.5 MB, so each utterance's 1-2 MB
     of temporaries would go back to the kernel and be faulted in again by
     the next one.  Fixed thresholds, which also stop that adjustment, keep
-    them in the heap until the process exits.  Set before the worker pool
-    forks, so the workers inherit it.  A no-op where glibc's mallopt is
-    absent (macOS, Windows, musl).
+    them in the heap until the process exits.  ``main`` sets it, and
+    ``_run_pool`` sets it in each pool worker, since a worker started by
+    ``spawn`` or ``forkserver`` does not inherit it.  A no-op where glibc's
+    mallopt is absent (macOS, Windows, musl).
     """
     try:
         if not os.confstr("CS_GNU_LIBC_VERSION"):
@@ -342,7 +343,7 @@ def _run_pool(worker, payloads, workers: int) -> list[tuple[str | None, object]]
 
     chunks = _chunks(payloads, workers)
     # a forking pool starts all of its processes at the first submit
-    with ProcessPoolExecutor(max_workers=min(workers, len(chunks))) as pool:
+    with ProcessPoolExecutor(max_workers=min(workers, len(chunks)), initializer=_keep_freed_heap) as pool:
         futures = [pool.submit(_guarded, worker, chunk) for chunk in chunks]
     # every future is done here; an exception in one is the pool's, not its entries'
     results = []
@@ -419,6 +420,8 @@ def cmd_corpus_stats(args, run: RunConfig) -> int:
     manifests = (("a", read_manifest(args.manifest_a)), ("b", read_manifest(args.manifest_b)))
     jobs = [((label, e.utterance_id), (), (e, run)) for label, entries in manifests for e in entries]
     out = Path(args.out)
+    if out.name == "errors.log":
+        raise UsageError(f"--out {args.out} is the errors.log of its directory, where failures are written")
     log_dir = _out_dir(out.parent)
     if out.is_dir():
         raise UsageError(f"--out {args.out} is a directory, not a file")

@@ -53,9 +53,12 @@ class MetricConfig:
 
     def resolve_cutoff(self, n_quefrencies: int) -> int:
         qc = self.cutoff_q if self.cutoff_q is not None else int(0.25 * n_quefrencies)
-        if not 1 <= qc <= n_quefrencies:
-            raise ValueError(f"cutoff_q must be in [1, {n_quefrencies}]")
-        return qc
+        if 1 <= qc <= n_quefrencies:
+            return qc
+        if self.cutoff_q is None:
+            raise ValueError(f"the default cutoff_q, floor(0.25 * {n_quefrencies} quefrency bins) = {qc}, "
+                             f"is outside [1, {n_quefrencies}]; set cutoff_q")
+        raise ValueError(f"cutoff_q must be in [1, {n_quefrencies}]")
 
 
 def hqer_series(p, cfg: MetricConfig = MetricConfig()) -> np.ndarray:

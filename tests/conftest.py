@@ -11,7 +11,7 @@ SR = 22050
 def write_wav_bytes(path, samples: np.ndarray, rate: int, encoding: str = "pcm16") -> None:
     """Minimal RIFF writer so WAV fixtures don't depend on the code under test.
 
-    ``encoding``: pcm16, float32, or the deliberately unsupported pcm32 and
+    ``encoding``: pcm16, float32, or the deliberately unsupported float64 and
     uint8 used by error-path tests.  2-D input of shape (n, channels) writes
     interleaved multichannel data.
     """
@@ -23,9 +23,9 @@ def write_wav_bytes(path, samples: np.ndarray, rate: int, encoding: str = "pcm16
     elif encoding == "float32":
         fmt_tag, bits = 3, 32
         payload = samples.astype("<f4").tobytes()
-    elif encoding == "pcm32":
-        fmt_tag, bits = 1, 32
-        payload = np.clip(np.round(samples * 2147483647.0), -(2**31), 2**31 - 1).astype("<i4").tobytes()
+    elif encoding == "float64":
+        fmt_tag, bits = 3, 64
+        payload = samples.astype("<f8").tobytes()
     elif encoding == "uint8":
         fmt_tag, bits = 1, 8
         payload = np.clip(np.round(samples * 127.0 + 128.0), 0, 255).astype("u1").tobytes()

@@ -3,6 +3,7 @@ import re
 import struct
 import tracemalloc
 import warnings
+import wave
 
 import numpy as np
 import pytest
@@ -64,7 +65,23 @@ def test_load_pcm16_scaling_range(tmp_path):
     assert np.abs(w.samples).max() <= 1.0
 
 
-@pytest.mark.parametrize("encoding", ["pcm32", "uint8"])
+@pytest.mark.parametrize("width", [2, 3, 4])
+def test_load_pcm_reads_each_sample_over_full_scale(tmp_path, width):
+    """The stdlib wave module writes the integers, extremes included; each
+    reads as int / 2**(bits - 1)."""
+    bits = 8 * width
+    ints = np.random.default_rng(width).integers(-(2 ** (bits - 1)), 2 ** (bits - 1), size=(200, 2))
+    ints[:2, 0] = -(2 ** (bits - 1)), 2 ** (bits - 1) - 1
+    path = tmp_path / "pcm.wav"
+    with wave.open(str(path), "wb") as w:
+        w.setnchannels(2)
+        w.setsampwidth(width)
+        w.setframerate(SR)
+        w.writeframes(b"".join(int(v).to_bytes(width, "little", signed=True) for v in ints.ravel()))
+    assert np.array_equal(load_wav(path).samples, (ints / 2.0 ** (bits - 1)).mean(axis=1))
+
+
+@pytest.mark.parametrize("encoding", ["float64", "uint8"])
 def test_load_unsupported_encoding(tmp_path, encoding):
     path = tmp_path / "bad.wav"
     write_wav_bytes(path, np.zeros(100), SR, encoding)
@@ -271,10 +288,12 @@ def _scipy_load_wav(path) -> Waveform:
         raise ValueError(f"unreadable WAV file {path!s}: {exc}") from exc
     if data.dtype == np.int16:
         x = data.astype(np.float64) / 32768.0
+    elif data.dtype == np.int32:
+        x = data.astype(np.float64) / 2147483648.0
     elif data.dtype == np.float32:
         x = data.astype(np.float64)
     else:
-        raise ValueError(f"unsupported WAV encoding {data.dtype} in {path!s}; expected PCM16 or float32")
+        raise ValueError(f"unsupported WAV encoding {data.dtype} in {path!s}; expected PCM of 9-32 bits or float32")
     if x.ndim == 2:
         x = x.mean(axis=1)
     if x.size == 0:
@@ -349,6 +368,8 @@ _VALID_WAVS = {
     ),
     "odd_data_size": _riff(_fmt(1, 1, 16000, 16), _chunk(b"data", _pcm16(9, 1) + b"\x01")),
     "truncated_data": _riff(_fmt(3, 2, 16000, 32), _chunk(b"data", _f32(40, 2)))[:-37],
+    "pcm24": _riff(_fmt(1, 2, 16000, 24), _chunk(b"data", np.random.default_rng(1).bytes(60))),
+    "pcm32": _riff(_fmt(1, 1, 16000, 32), _chunk(b"data", np.random.default_rng(2).bytes(40))),
 }
 
 
@@ -365,8 +386,6 @@ def test_wav_reader_matches_scipy(tmp_path, name):
 
 
 _REJECTED_WAVS = {
-    "pcm32": _riff(_fmt(1, 1, 16000, 32), _chunk(b"data", bytes(40))),
-    "pcm24": _riff(_fmt(1, 2, 16000, 24), _chunk(b"data", bytes(60))),
     "pcm24_partial_sample": _riff(_fmt(1, 1, 16000, 24), _chunk(b"data", bytes(31))),
     "uint8": _riff(_fmt(1, 1, 16000, 8), _chunk(b"data", bytes(range(20)))),
     "float64": _riff(_fmt(3, 1, 16000, 64), _chunk(b"data", bytes(80))),
@@ -410,7 +429,7 @@ def test_wav_reader_rejects_like_scipy(tmp_path, name):
 _CUT_IN_TRAILING_HEADER = [_VALID_WAVS["odd_chunks"].rindex(b"bext") + k for k in (5, 6, 7)]
 
 
-@pytest.mark.parametrize("name", ["pcm16_stereo", "extensible_float32", "odd_chunks"])
+@pytest.mark.parametrize("name", ["pcm16_stereo", "extensible_float32", "odd_chunks", "pcm24"])
 def test_wav_reader_truncated_like_scipy(tmp_path, name):
     full = _VALID_WAVS[name]
     path = tmp_path / "cut.wav"
@@ -436,6 +455,7 @@ def test_wav_reader_known_differences(tmp_path):
     read_by_scipy_only = {  # header fields that contradict each other, then RF64
         "pcm_0_bits": (_riff(_fmt(1, 1, 16000, 0, width=2), data), "0 bits"),
         "pcm_24_bits_in_2_bytes": (_riff(_fmt(1, 1, 16000, 24, width=2), data), "24 bits"),
+        "pcm_20_bits_in_4_bytes": (_riff(_fmt(1, 1, 16000, 20, width=4), _chunk(b"data", bytes(12))), "20 bits"),
         "float_64_bits_in_4_bytes": (_riff(_fmt(3, 1, 16000, 64, width=4), data), "64 bits"),
         "stereo_5_byte_blocks": (
             _riff(_chunk(b"fmt ", struct.pack("<HHIIHH", 1, 2, 16000, 80000, 5, 16)), data), "5-byte blocks"
@@ -462,8 +482,9 @@ def test_wav_reader_known_differences(tmp_path):
         assert ours[0] == ref[0] and ours[1].tobytes() == ref[1].tobytes()
     # the messages name the cause
     for name, message in [
-        ("pcm24", "format tag 0x1, 24 bits, 2 channel(s), 6-byte blocks"), ("rifx_pcm16", "it starts b'RIFX"),
+        ("uint8", "format tag 0x1, 8 bits, 1 channel(s), 1-byte blocks"), ("rifx_pcm16", "it starts b'RIFX"),
         ("stereo_odd_samples", "inside a 2-channel frame"), ("zero_rate", "sample rate 0"),
+        ("pcm24_partial_sample", "inside a 3-byte sample"),
     ]:
         path = tmp_path / f"{name}.wav"
         path.write_bytes(_REJECTED_WAVS[name])
@@ -472,7 +493,8 @@ def test_wav_reader_known_differences(tmp_path):
 
 
 # (format tag, bits): the accepted encodings, weighted to make many files readable, and rejected ones
-_FUZZ_ENCODINGS = 3 * [(1, 16), (1, 12), (3, 32), (0xFFFE, 16), (0xFFFE, 32)] + [(1, 0), (1, 24), (3, 64), (6, 8)]
+_FUZZ_ENCODINGS = (3 * [(1, 16), (1, 12), (3, 32), (0xFFFE, 16), (0xFFFE, 32)] + [(1, 24), (1, 32)]
+                   + [(1, 0), (3, 64), (6, 8)])
 
 
 def _fuzzed_wav(rng: np.random.Generator) -> bytes:

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from melcep import cli
 from melcep.audio import PreprocessConfig
 from melcep.cli import MANIFEST_FIELDS, UsageError, load_run_config, main, read_manifest
-from melcep.compare import AGGREGATE_MEASURES, PitchContour, aggregate_csv, build_report
+from melcep.compare import AGGREGATE_MEASURES, ComparisonReport, PitchContour, aggregate_csv, build_report
 from melcep.osmetrics import METRIC_NAMES, MetricConfig
 from melcep.spectral import LogMelSpectrogram, MelConfig, read_blob
 from melcep.stats import stats_csv
@@ -135,18 +135,18 @@ def test_features_silent_entry_partial_failure(corpus, tmp_path):
 
 
 def test_unreadable_wavs_fail_their_own_entries(corpus, tmp_path):
-    """A 24-bit PCM wav and a wav cut inside its fmt chunk each fail their
+    """An 8-bit PCM wav and a wav cut inside its fmt chunk each fail their
     own entry with a ValueError that names the file; the good entry runs."""
     _, _, rows = corpus
-    pcm24, cut = tmp_path / "pcm24.wav", tmp_path / "cut.wav"
-    with wave.open(str(pcm24), "wb") as w:
+    pcm8, cut = tmp_path / "pcm8.wav", tmp_path / "cut.wav"
+    with wave.open(str(pcm8), "wb") as w:
         w.setnchannels(1)
-        w.setsampwidth(3)
+        w.setsampwidth(1)
         w.setframerate(16000)
-        w.writeframes(bytes(3 * 1600))
+        w.writeframes(bytes(1600))
     cut.write_bytes(Path(rows[0]["ref_wav"]).read_bytes()[:30])
     manifest = tmp_path / "m.csv"
-    _write_manifest(manifest, [dict(rows[0]), {"utterance_id": "zz_pcm24", "ref_wav": str(pcm24)},
+    _write_manifest(manifest, [dict(rows[0]), {"utterance_id": "zz_pcm8", "ref_wav": str(pcm8)},
                                {"utterance_id": "zz_cut", "ref_wav": str(cut)}])
     out = tmp_path / "out"
     assert main(["features", "--manifest", str(manifest), "--out", str(out)]) == 2
@@ -154,8 +154,8 @@ def test_unreadable_wavs_fail_their_own_entries(corpus, tmp_path):
     assert (out / f"{uid}.lmel").stat().st_size > 0 and (out / f"{uid}.metrics.csv").stat().st_size > 0
     assert (out / "errors.log").read_text().splitlines() == [
         f"zz_cut\tValueError: unreadable WAV file {cut}: fmt chunk of 10 bytes; it needs 16",
-        f"zz_pcm24\tValueError: unreadable WAV file {pcm24}: unsupported encoding: format tag 0x1, 24 bits, "
-        "1 channel(s), 3-byte blocks; expected PCM16 or float32",
+        f"zz_pcm8\tValueError: unreadable WAV file {pcm8}: unsupported encoding: format tag 0x1, 8 bits, "
+        "1 channel(s), 1-byte blocks; expected PCM of 9-32 bits or float32",
     ]
 
 
@@ -601,6 +601,21 @@ def test_readme_lists_the_config_keys():
     assert [key.strip() for key in listed.split(",")] == list(cli._CONFIG_KEYS)
 
 
+def test_readme_lists_the_output_fields():
+    """The README copies four more lists by hand; a metric added to SERIES
+    would leave each of them stale."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+
+    def listed(anchor):
+        return [" ".join(item.split()) for item in readme.split(anchor, 1)[1].split("`", 2)[1].split(",")]
+
+    assert listed("report.json` per pair with fields") == list(ComparisonReport._fields)
+    assert listed("rows labeled") == [label for label, _, _ in AGGREGATE_MEASURES]
+    assert listed("and a `.metrics.csv`") == ["frame_index", *METRIC_NAMES]
+    header = readme.split("### Manifest format", 1)[1].split("```", 2)[1].split()[0]
+    assert header.split(",") == list(MANIFEST_FIELDS)
+
+
 def test_config_key_set_twice_is_usage_error(corpus, tmp_path, capsys):
     """The second value of a repeated key silently won."""
     config = tmp_path / "cfg.txt"
@@ -685,15 +700,18 @@ def test_utterance_id_with_dots_inside_is_accepted(tmp_path):
 
 @pytest.mark.parametrize("command, out_kind", [
     ("features", "file"), ("features", "under-file"), ("compare", "file"), ("compare", "under-file"),
-    ("corpus-stats", "directory"), ("corpus-stats", "under-file"), ("synthlab", "file"),
+    ("corpus-stats", "directory"), ("corpus-stats", "under-file"), ("corpus-stats", "errors-log"), ("synthlab", "file"),
 ])
 def test_unusable_out_is_usage_error_before_any_work(corpus, tmp_path, monkeypatch, capsys, command, out_kind):
     """An --out that cannot be made, or a corpus-stats --out that is a
-    directory, raised a traceback, for corpus-stats after the whole batch."""
+    directory, raised a traceback, for corpus-stats after the whole batch.
+    A corpus-stats --out named errors.log took the table in place of the
+    failure lines."""
     blocker = tmp_path / "blocker"
     blocker.write_text("keep\n")
     (tmp_path / "dir").mkdir()
-    out = {"file": blocker, "under-file": blocker / "sub", "directory": tmp_path / "dir"}[out_kind]
+    out = {"file": blocker, "under-file": blocker / "sub", "directory": tmp_path / "dir",
+           "errors-log": tmp_path / "dir" / "errors.log"}[out_kind]
     loaded = []
     monkeypatch.setattr(cli, "load_wav", loaded.append)
     monkeypatch.setattr(cli.synthlab, "run_monotonicity_suite", loaded.append)
@@ -701,11 +719,11 @@ def test_unusable_out_is_usage_error_before_any_work(corpus, tmp_path, monkeypat
     argv = {"features": ["features", "--manifest", m, "--out", str(out)],
             "compare": ["compare", "--manifest", m, "--out", str(out)],
             "corpus-stats": ["corpus-stats", "--manifest-a", m, "--manifest-b", m,
-                             "--out", str(out if out_kind == "directory" else out / "stats.csv")],
+                             "--out", str(out if out_kind in ("directory", "errors-log") else out / "stats.csv")],
             "synthlab": ["synthlab", "--out", str(out)]}[command]
     assert main(argv) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(out) in err
     assert loaded == []
     assert blocker.read_text() == "keep\n" and list((tmp_path / "dir").iterdir()) == []
 
@@ -913,9 +931,9 @@ def test_pool_gets_one_task_per_chunk(corpus, tmp_path, monkeypatch):
     sizes, chunks = [], []
 
     class Recorder(ThreadPoolExecutor):
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, **kwargs):
             sizes.append(max_workers)
-            super().__init__(max_workers)
+            super().__init__(max_workers, **kwargs)
 
         def submit(self, fn, worker, chunk):
             chunks.append([entry.utterance_id for entry, *_ in chunk])
@@ -960,9 +978,9 @@ def test_pool_is_capped_at_entry_count(corpus, tmp_path, monkeypatch):
     sizes = []
 
     class Recorder(ThreadPoolExecutor):
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, **kwargs):
             sizes.append(max_workers)
-            super().__init__(max_workers)
+            super().__init__(max_workers, **kwargs)
 
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", Recorder)
     assert main(["features", "--manifest", str(manifest), "--out", str(tmp_path / "out"), "--workers", "8"]) == 0
@@ -1016,6 +1034,9 @@ def test_bad_config_values_exit_1_before_any_work(corpus, tmp_path, monkeypatch,
     ("target_level_dbfs = 7000", "target_level_dbfs must be at most 0 dBFS, got 7000"),
     ("silence_threshold_db = 5", "silence_threshold_db must be at most 0 dBFS, got 5"),
     ("n_mels = 3\ncutoff_q = 1", "n_mels must be at least 4 for the 3 quefrency bins of CSlope, got 3"),
+    # the error named cutoff_q without saying that its default was at fault
+    *[(f"n_mels = {n}", "the default cutoff_q, floor(0.25 * 3 quefrency bins) = 0, is outside [1, 3]; set cutoff_q")
+      for n in (4, 5)],
     ("highpass_hz = 1e-9", "highpass_hz must be at least 10 Hz, got 1e-09"),
     ("silence_trim_ms = 0.01", "silence_trim_ms must keep at least one sample at 22050 Hz, got 0.01"),
     ("f_min = -20", "f_min must be at least 0 Hz, got -20"),
@@ -1263,6 +1284,39 @@ def test_second_batch_reuses_freed_heap(tmp_path):
     first, second, faults = map(int, proc.stdout.split())
     assert first == second == 0
     assert faults < 50 * 24
+
+
+def _mmaps_8_mib(_):
+    """Whether an 8 MiB array in this process grows glibc's mmapped bytes,
+    as it does when no allocator policy is set."""
+    import ctypes
+
+    class Mallinfo2(ctypes.Structure):
+        _fields_ = [(name, ctypes.c_size_t) for name in ("arena", "ordblks", "smblks", "hblks", "hblkhd",
+                                                         "usmblks", "fsmblks", "uordblks", "fordblks", "keepcost")]
+
+    mallinfo2 = ctypes.CDLL(None).mallinfo2
+    mallinfo2.restype = Mallinfo2
+    before = mallinfo2().hblkhd
+    block = np.ones(1 << 20)
+    grew = mallinfo2().hblkhd > before
+    del block
+    return grew
+
+
+def test_spawned_pool_workers_keep_freed_heap(monkeypatch):
+    """A worker started by spawn or forkserver does not inherit the parent's
+    allocator policy, so the pool sets it in each worker; without it an
+    8 MiB array was mmapped in the worker."""
+    try:
+        glibc = os.confstr("CS_GNU_LIBC_VERSION")
+    except (AttributeError, OSError, ValueError):
+        glibc = None
+    if not glibc or tuple(map(int, glibc.split()[1].split(".")[:2])) < (2, 33):
+        pytest.skip("mallinfo2 needs glibc 2.33")
+    spawn_pool = functools.partial(ProcessPoolExecutor, mp_context=multiprocessing.get_context("spawn"))
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", spawn_pool)
+    assert cli._run_pool(_mmaps_8_mib, [0, 1], 2) == [(None, False), (None, False)]
 
 
 def test_dying_worker_fails_unfinished_entries(tmp_path, monkeypatch, capsys):
