@@ -101,8 +101,8 @@ class PreprocessConfig:
     """Parameters of the preprocessing chain.
 
     Silence runs longer than ``silence_trim_ms`` are shortened to exactly
-    that length, at least one sample at ``target_rate``.  A
-    ``target_level_dbfs`` of None disables the level normalization stage.
+    that length, ``silence_trim_samples``: finitely many samples, at least
+    one.  A ``target_level_dbfs`` of None disables the level normalization.
     Both levels are in dB relative to full scale (an RMS of 1.0), and above
     0 dBFS each is an error: a target there leaves full scale, and a gate
     there calls a full-scale signal silent.  ``highpass_hz`` is at least
@@ -121,14 +121,23 @@ class PreprocessConfig:
             raise ValueError(f"highpass_hz must be at least {HIGHPASS_MIN_HZ:g} Hz, got {self.highpass_hz:g}")
         if self.target_rate <= 2 * self.highpass_hz:
             raise ValueError("target_rate must exceed twice the high-pass cutoff")
-        # preprocess rounds the kept length to whole samples, and 0 would delete each long pause
-        if not self.silence_trim_ms * self.target_rate / 1000.0 > 0.5:
+        try:
+            trim_samples = self.silence_trim_samples
+        except OverflowError:  # the ms overflow to an infinite sample count
+            raise ValueError(f"silence_trim_ms must be a finite number of samples at {self.target_rate} Hz, "
+                             f"got {self.silence_trim_ms:g}") from None
+        if trim_samples < 1:  # 0 would delete each long pause
             raise ValueError(f"silence_trim_ms must keep at least one sample at {self.target_rate} Hz, "
                              f"got {self.silence_trim_ms:g}")
         if self.silence_threshold_db > 0:
             raise ValueError(f"silence_threshold_db must be at most 0 dBFS, got {self.silence_threshold_db:g}")
         if self.target_level_dbfs is not None and self.target_level_dbfs > 0:
             raise ValueError(f"target_level_dbfs must be at most 0 dBFS, got {self.target_level_dbfs:g}")
+
+    @property
+    def silence_trim_samples(self) -> int:
+        """``silence_trim_ms`` rounded to whole samples at ``target_rate``."""
+        return int(round(self.silence_trim_ms * self.target_rate / 1000.0))
 
 
 def _read_wav(path) -> tuple[int, np.ndarray]:
@@ -438,8 +447,7 @@ def preprocess(w: Waveform, cfg: PreprocessConfig = PreprocessConfig()) -> Wavef
     mask = silence_mask(x, rate, cfg.silence_threshold_db)
     if mask.all():
         raise SilentSignalError("signal entirely silent after trimming")
-    max_len = int(round(cfg.silence_trim_ms * rate / 1000.0))
-    x, removed = _cap_silences(x, mask, max_len)
+    x, removed = _cap_silences(x, mask, cfg.silence_trim_samples)
 
     x = _highpass(x, rate, cfg.highpass_hz)
 

@@ -20,6 +20,7 @@ import csv
 import os
 import re
 import sys
+import unicodedata
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -200,9 +201,12 @@ def read_manifest(path, required=("utterance_id", "ref_wav")) -> list[ManifestEn
         if uid in (".", "..") or _UNSAFE_ID_CHAR.search(uid):
             raise UsageError(f"manifest line {lineno}: utterance_id {uid!r} must not be '.' or '..' "
                              "or hold '/', '\\' or a control character")
-        if uid in id_lines:
-            raise UsageError(f"manifest line {lineno}: duplicate utterance_id {uid!r}, first on line {id_lines[uid]}")
-        id_lines[uid] = lineno
+        key = unicodedata.normalize("NFC", uid).casefold()  # one output file on macOS and Windows default volumes
+        if key in id_lines:
+            first, first_line = id_lines[key]
+            raise UsageError(f"manifest line {lineno}: duplicate utterance_id {uid!r}, first on line {first_line}"
+                             + (f" as {first!r}" if first != uid else ""))
+        id_lines[key] = uid, lineno
         if cells["token_count"] is not None:
             try:
                 cells["token_count"] = _int_at_least(0)(cells["token_count"])

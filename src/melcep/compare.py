@@ -280,13 +280,14 @@ def _diagonal(n1: int, n2: int) -> DtwPath:
 
 
 def mel_distances(ref: LogMelSpectrogram, syn: LogMelSpectrogram, path: DtwPath | None = None) -> MelDistances:
-    """L1/L2 error and spectral convergence over the frame pairs of ``path``.
+    """L1, L2 and spectral convergence over the frame pairs of ``path``.
 
     ``path`` pairs the frames of the two spectrograms (in ``build_report``,
     their cosine path); without one, spectrograms of equal frame count are
-    paired frame by frame.  The distances are taken over the aligned
-    band-by-step matrices.  Spectral convergence is the Frobenius norm of
-    the aligned difference over the Frobenius norm of the aligned reference.
+    paired frame by frame.  Over the aligned band-by-step log-mel matrices,
+    ``l1`` is the mean absolute difference, ``l2`` the mean squared difference
+    (no root) and ``sconv`` the Frobenius norm of the difference over that of
+    the aligned reference.
     """
     if ref.n_bands != syn.n_bands:
         raise ValueError("band count mismatch")

@@ -36,6 +36,8 @@ class StftConfig:
     hop: int = 256
 
     def __post_init__(self):
+        if self.n_fft > 32768:  # 8 x 4096, above any STFT size of TTS recipes; refuses a typo before any array
+            raise ValueError(f"n_fft must be at most 32768, got {self.n_fft}")
         if self.n_fft < self.win_length:
             raise ValueError("n_fft must be >= win_length")
         if not 1 <= self.hop <= self.win_length:
@@ -141,10 +143,14 @@ def _stft_window(cfg: StftConfig) -> np.ndarray:
 
 def mel_band_edges(cfg: MelConfig, sample_rate: int, n_fft: int) -> tuple[np.ndarray, np.ndarray]:
     """FFT bin frequencies and the n_mels + 2 band edges in Hz.  Raises for an f_max above
-    Nyquist, or a band with no FFT bin strictly between its outer edges (its positive support)."""
+    Nyquist, or a band with no FFT bin strictly between its outer edges (its positive support):
+    bands 0, 2, 4, ... have disjoint supports, so over twice as many bands as bins raise at once."""
     if cfg.f_max > sample_rate / 2:
         raise ValueError("f_max exceeds the Nyquist frequency")
-    fft_hz = np.linspace(0.0, sample_rate / 2.0, n_fft // 2 + 1)
+    if cfg.n_mels > 2 * (n_fft // 2 + 1):
+        raise ValueError(f"mel filterbank has bands with empty FFT-bin support: n_mels {cfg.n_mels} "
+                         f"is over twice the {n_fft // 2 + 1} FFT bins")
+    fft_hz = np.linspace(0.0, sample_rate * (n_fft // 2) / n_fft, n_fft // 2 + 1)  # np.fft.rfftfreq's grid
     edges_hz = mel_to_hz(np.linspace(hz_to_mel(cfg.f_min), hz_to_mel(cfg.f_max), cfg.n_mels + 2))
     if (np.searchsorted(fft_hz, edges_hz[2:]) <= np.searchsorted(fft_hz, edges_hz[:-2], "right")).any():
         raise ValueError("mel filterbank has bands with empty FFT-bin support")

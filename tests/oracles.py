@@ -222,7 +222,7 @@ def slaney_filterbank_reference(n_mels: int, f_min: float, f_max: float, sample_
         left, center, right = edges[i], edges[i + 1], edges[i + 2]
         norm = 2.0 / (right - left)
         for k in range(n_bins):
-            f = k * sample_rate / 2.0 / (n_bins - 1)
+            f = k * sample_rate / n_fft
             if left < f < right:
                 if f <= center:
                     w = (f - left) / (center - left)

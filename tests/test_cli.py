@@ -5,6 +5,7 @@ import json
 import math
 import multiprocessing
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -654,14 +655,17 @@ def test_read_manifest_validation(tmp_path):
 @pytest.mark.parametrize("command", ["features", "compare", "corpus-stats"])
 def test_duplicate_id_names_the_id_and_both_lines(corpus, tmp_path, monkeypatch, capsys, command):
     _, _, rows = corpus
-    manifest = tmp_path / "m.csv"
-    _write_manifest(manifest, [rows[0], rows[1], rows[2], dict(rows[2], utterance_id="utt01"), rows[0]])
     loaded = []
     monkeypatch.setattr(cli, "load_wav", loaded.append)
-    out = tmp_path / "out"
-    assert main(_batch_argv(command, manifest, out)) == 1
-    assert capsys.readouterr().err == "error: manifest line 5: duplicate utterance_id 'utt01', first on line 3\n"
-    assert not out.exists() and loaded == []
+    # Utt01 and utt01 name one output file on the case-insensitive default volumes of macOS and Windows
+    for k, (uid, spelling) in enumerate([("utt01", ""), ("Utt01", " as 'utt01'")]):
+        manifest = tmp_path / f"m{k}.csv"
+        _write_manifest(manifest, [rows[0], rows[1], rows[2], dict(rows[2], utterance_id=uid), rows[0]])
+        out = tmp_path / "out"
+        assert main(_batch_argv(command, manifest, out)) == 1
+        assert capsys.readouterr().err == (f"error: manifest line 5: duplicate utterance_id {uid!r}, "
+                                           f"first on line 3{spelling}\n")
+        assert not out.exists() and loaded == []
 
 
 def _batch_argv(command, manifest, out):
@@ -1016,6 +1020,10 @@ def test_pool_is_capped_at_entry_count(corpus, tmp_path, monkeypatch):
         ("target_level_dbfs = off", []),  # none is the one spelling of no level normalization
         ("silence_trim_ms = 0.01", []),  # 0.22 samples, rounded to 0: a long pause would be deleted, not capped
         ("f_min = -20", []),  # once ran, with a filterbank that reached below 0 Hz
+        # each once built a 3.64 or 7.28 TiB array of bin frequencies or band edges before any check
+        ("n_fft = 1000000000000", []),
+        ("n_mels = 1000000000000", []),
+        ("silence_trim_ms = 1e305", []),  # infinitely many samples: once loaded, then failed every entry
     ],
 )
 def test_bad_config_values_exit_1_before_any_work(corpus, tmp_path, monkeypatch, config, flags):
@@ -1040,6 +1048,10 @@ def test_bad_config_values_exit_1_before_any_work(corpus, tmp_path, monkeypatch,
     ("highpass_hz = 1e-9", "highpass_hz must be at least 10 Hz, got 1e-09"),
     ("silence_trim_ms = 0.01", "silence_trim_ms must keep at least one sample at 22050 Hz, got 0.01"),
     ("f_min = -20", "f_min must be at least 0 Hz, got -20"),
+    ("n_fft = 1000000000000", "n_fft must be at most 32768, got 1000000000000"),
+    ("n_mels = 1000000000000",
+     "mel filterbank has bands with empty FFT-bin support: n_mels 1000000000000 is over twice the 513 FFT bins"),
+    ("silence_trim_ms = 1e305", "silence_trim_ms must be a finite number of samples at 22050 Hz, got 1e+305"),
 ])
 def test_config_error_names_its_key(corpus, tmp_path, capsys, config, message):
     cfg = tmp_path / "cfg.txt"
@@ -1226,6 +1238,40 @@ def test_runtime_imports_no_scipy():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("argv, code, files, stderr", [
+    (["synthlab", "--spectrograms", "2", "--out", "out"], 0, ["monotonicity.csv", "properties.txt"], ""),
+    (["synthlab", "--spectrograms", "0", "--out", "out"], 1, [],
+     "error: argument --spectrograms: expected an integer of at least 1, got '0'\n"),
+    (["features", "--manifest", "m.csv", "--out", "out"], 2, ["errors.log", "utt00.lmel", "utt00.metrics.csv"],
+     "error: gone: .+\n"),
+    (["synthlab", "--spectrograms", "2", "--inject-fault", "--out", "out"], 3,
+     ["monotonicity.csv", "properties.txt"], ""),
+], ids=["pass", "usage-error", "missing-wav", "injected-fault"])
+def test_console_script_exit_code_crosses_the_process_boundary(corpus, tmp_path, argv, code, files, stderr):
+    """The ``melcep`` command runs what pip's wrapper runs for the target in
+    pyproject.toml, ``sys.exit(<function>())`` in a fresh interpreter, and
+    exits with ``main``'s code.  pyproject.toml is read as text: Python 3.10
+    has no tomllib."""
+    _, _, rows = corpus
+    _write_manifest(tmp_path / "m.csv", [rows[0], dict(rows[0], utterance_id="gone", ref_wav=str(tmp_path / "gone.wav"))])
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    target = re.search(r'^\[project\.scripts\]\nmelcep = "([\w.]+):(\w+)"$', pyproject, re.MULTILINE)
+    assert target, "pyproject.toml maps no melcep command in [project.scripts]"
+    module, function = target.groups()
+    script = f"import sys; from {module} import {function}; sys.exit({function}())"
+    env = dict(os.environ, PYTHONPATH=PACKAGE_PARENT)
+    proc = subprocess.run([sys.executable, "-c", script, *argv], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == code, proc.stderr
+    assert re.fullmatch(stderr, proc.stderr), proc.stderr
+    out = tmp_path / "out"
+    assert (sorted(p.name for p in out.iterdir()) if out.exists() else []) == files
+    if code == 2:
+        assert (out / "errors.log").read_text().startswith("gone\t")
+    if "properties.txt" in files:
+        assert ("FAIL" in (out / "properties.txt").read_text()) == (code == 3)
 
 
 def _raise(exc):

@@ -18,3 +18,10 @@ def test_every_path_the_workflow_passes_to_pytest_exists():
 def test_numpy_floor_entry_is_the_pyproject_floor():
     floor = re.search(r'"numpy>=([\d.]+)"', (ROOT / "pyproject.toml").read_text(encoding="utf-8")).group(1)
     assert re.findall(r'numpy: "([\d.]+)\.\*"', WORKFLOW.read_text(encoding="utf-8")) == [floor]
+
+
+def test_no_step_runs_the_cli():
+    """A behaviour check of the CLI is written once, as a tier-1 test, which
+    runs everywhere, not as a workflow step, which runs on a hosted runner only."""
+    text = WORKFLOW.read_text(encoding="utf-8")
+    assert re.findall(r"bin/melcep\b|-m melcep\b|^\s+(?:run: )?melcep\b", text, re.MULTILINE) == []
