@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import compare as cmp
-from . import spectral, stats, synthlab
+from . import audio, spectral, stats, synthlab
 from .audio import PreprocessConfig, load_wav, preprocess
 from .cepstral import mel_cepstrogram, quefrency_power
 from .osmetrics import SERIES, MetricConfig, utterance_metrics
@@ -96,8 +96,11 @@ class RunConfig:
         if n_quefrencies < 3:
             raise ValueError(f"n_mels must be at least 4 for the 3 quefrency bins of CSlope, got {self.mel.n_mels}")
         self.metric.resolve_cutoff(n_quefrencies)
-        # the band edges alone: mel_filterbank's 300 kB, freed here before the pool forks, would cost each worker faults
-        spectral.mel_band_edges(self.mel, self.preprocess.target_rate, self.stft.n_fft)
+        # the run's operators, under the cache keys preprocess and log_mel read: the filterbank checks the
+        # band geometry before any wav is read, and each pool worker forked later inherits all three
+        spectral._cached_filterbank(self.mel, self.preprocess.target_rate, self.stft.n_fft)
+        spectral._stft_window(self.stft)
+        audio._highpass_design(self.preprocess.target_rate, float(self.preprocess.highpass_hz))
 
 
 def _int_at_least(minimum: int):
@@ -164,9 +167,9 @@ def load_run_config(path=None) -> RunConfig:
 
 
 # An utterance id names its output files in the output directory and is one
-# tab-separated field of errors.log, whose lines and fields a control character
-# in an id or a message would split.
-_CONTROL_CHAR = re.compile(r"[\x00-\x1f\x7f-\x9f]")
+# tab-separated field of errors.log, whose lines and fields a control character,
+# or a U+2028 or U+2029 that str.splitlines ends a line at, would split.
+_CONTROL_CHAR = re.compile(r"[\x00-\x1f\x7f-\x9f\u2028\u2029]")
 _UNSAFE_ID_CHAR = re.compile(rf"[/\\]|{_CONTROL_CHAR.pattern}")
 
 

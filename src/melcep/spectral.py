@@ -141,10 +141,16 @@ def _stft_window(cfg: StftConfig) -> np.ndarray:
     return np.pad(window, (lpad, cfg.n_fft - n - lpad))
 
 
-def mel_band_edges(cfg: MelConfig, sample_rate: int, n_fft: int) -> tuple[np.ndarray, np.ndarray]:
-    """FFT bin frequencies and the n_mels + 2 band edges in Hz.  Raises for an f_max above
-    Nyquist, or a band with no FFT bin strictly between its outer edges (its positive support):
-    bands 0, 2, 4, ... have disjoint supports, so over twice as many bands as bins raise at once."""
+def mel_filterbank(cfg: MelConfig, sample_rate: int, n_fft: int) -> np.ndarray:
+    """Triangular Slaney-scale mel filterbank, bands x FFT bins.
+
+    Band edges are spaced uniformly on the Slaney mel scale and each filter
+    is area-normalized by 2/(right_hz - left_hz) so that energy is equalized
+    across bands.  Before any array of its size is built, it raises for an
+    f_max above Nyquist or a band with no FFT bin strictly between its outer
+    edges: bands 0, 2, 4, ... have disjoint supports, so over twice as many
+    bands as bins raise at once.
+    """
     if cfg.f_max > sample_rate / 2:
         raise ValueError("f_max exceeds the Nyquist frequency")
     if cfg.n_mels > 2 * (n_fft // 2 + 1):
@@ -154,17 +160,6 @@ def mel_band_edges(cfg: MelConfig, sample_rate: int, n_fft: int) -> tuple[np.nda
     edges_hz = mel_to_hz(np.linspace(hz_to_mel(cfg.f_min), hz_to_mel(cfg.f_max), cfg.n_mels + 2))
     if (np.searchsorted(fft_hz, edges_hz[2:]) <= np.searchsorted(fft_hz, edges_hz[:-2], "right")).any():
         raise ValueError("mel filterbank has bands with empty FFT-bin support")
-    return fft_hz, edges_hz
-
-
-def mel_filterbank(cfg: MelConfig, sample_rate: int, n_fft: int) -> np.ndarray:
-    """Triangular Slaney-scale mel filterbank, bands x FFT bins.
-
-    Band edges are spaced uniformly on the Slaney mel scale and each filter
-    is area-normalized by 2/(right_hz - left_hz) so that energy is equalized
-    across bands.  A filter with no FFT bin under its support is an error.
-    """
-    fft_hz, edges_hz = mel_band_edges(cfg, sample_rate, n_fft)
     weights = np.zeros((cfg.n_mels, fft_hz.size))
     for i in range(cfg.n_mels):
         left, center, right = edges_hz[i], edges_hz[i + 1], edges_hz[i + 2]

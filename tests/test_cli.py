@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from melcep import cli
+from melcep import audio, cli, spectral
 from melcep.audio import PreprocessConfig
 from melcep.cli import MANIFEST_FIELDS, UsageError, load_run_config, main, read_manifest
 from melcep.compare import AGGREGATE_MEASURES, ComparisonReport, PitchContour, aggregate_csv, build_report
@@ -162,15 +162,16 @@ def test_unreadable_wavs_fail_their_own_entries(corpus, tmp_path):
 
 def test_control_characters_in_a_message_are_escaped(corpus, tmp_path, capsys):
     """A tab and a newline in a wav path split the entry's errors.log record
-    into two lines of three fields; they are written as Python escapes."""
+    into two lines of three fields, and U+2028 split it for ``str.splitlines``;
+    they are written as Python escapes."""
     _, _, rows = corpus
-    weird = tmp_path / "we\tird\nname.wav"
+    weird = tmp_path / "we\tird\nna\u2028me.wav"
     weird.write_bytes(Path(rows[0]["ref_wav"]).read_bytes()[:30])
     manifest = tmp_path / "m.csv"
     _write_manifest(manifest, [dict(rows[0]), {"utterance_id": "u1", "ref_wav": str(weird)}])
     out = tmp_path / "out"
     assert main(["features", "--manifest", str(manifest), "--out", str(out)]) == 2
-    escaped = f"ValueError: unreadable WAV file {tmp_path}/we\\tird\\nname.wav: fmt chunk of 10 bytes; it needs 16"
+    escaped = f"ValueError: unreadable WAV file {tmp_path}/we\\tird\\nna\\u2028me.wav: fmt chunk of 10 bytes; it needs 16"
     assert (out / "errors.log").read_text() == f"u1\t{escaped}\n"
     assert capsys.readouterr().err == f"error: u1: {escaped}\n"
 
@@ -676,11 +677,14 @@ def _batch_argv(command, manifest, out):
 
 
 @pytest.mark.parametrize("command", ["features", "compare", "corpus-stats"])
-@pytest.mark.parametrize("uid", ["../outside", "{root}/escaped", ".", "..", "a\\b", "a\tb", "a\x1bb"],
-                         ids=["dotdot-prefix", "absolute", "dot", "dotdot", "backslash", "tab", "escape"])
+@pytest.mark.parametrize("uid", ["../outside", "{root}/escaped", ".", "..", "a\\b", "a\tb", "a\x1bb",
+                                 "a\u2028b", "a\u2029b"],
+                         ids=["dotdot-prefix", "absolute", "dot", "dotdot", "backslash", "tab", "escape",
+                              "line-separator", "paragraph-separator"])
 def test_utterance_id_that_is_not_a_file_name_is_usage_error(corpus, tmp_path, monkeypatch, capsys, command, uid):
     """Output files are named ``<out>/<utterance_id>.<ext>``: an id holding a
-    path wrote outside ``--out``, and a tab split its errors.log line."""
+    path wrote outside ``--out``, and a tab split its errors.log line, as
+    U+2028 and U+2029 split it for ``str.splitlines``."""
     uid = uid.format(root=tmp_path)
     wav = corpus[2][0]["ref_wav"]
     manifest = tmp_path / "m.csv"
@@ -896,12 +900,15 @@ def test_batch_parallel_matches_serial(corpus, tmp_path, capsys, command):
 
 @pytest.mark.parametrize("command", ["compare", "corpus-stats"])
 def test_batch_parallel_under_spawn_matches_serial(corpus, tmp_path, capsys, monkeypatch, command):
-    """Under the spawn start method (macOS, Windows) the workers import the
-    payload and result records by name, so reports and stats records must
-    pickle by reference to their module."""
-    spawn_pool = functools.partial(ProcessPoolExecutor, mp_context=multiprocessing.get_context("spawn"))
-    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", spawn_pool)
-    test_batch_parallel_matches_serial(corpus, tmp_path, capsys, command)
+    """Under the spawn start method (macOS, Windows) and forkserver (Linux
+    from Python 3.14) the workers import the payload and result records by
+    name, so reports and stats records must pickle by reference to their
+    module; they also build the run's operators themselves."""
+    for method in ("spawn", "forkserver"):
+        pool = functools.partial(ProcessPoolExecutor, mp_context=multiprocessing.get_context(method))
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", pool)
+        (tmp_path / method).mkdir()
+        test_batch_parallel_matches_serial(corpus, tmp_path / method, capsys, command)
 
 
 def _many_entries(corpus, count):
@@ -1363,6 +1370,25 @@ def test_spawned_pool_workers_keep_freed_heap(monkeypatch):
     spawn_pool = functools.partial(ProcessPoolExecutor, mp_context=multiprocessing.get_context("spawn"))
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", spawn_pool)
     assert cli._run_pool(_mmaps_8_mib, [0, 1], 2) == [(None, False), (None, False)]
+
+
+_RUN_OPERATOR_CACHES = (spectral._cached_filterbank, spectral._stft_window, audio._highpass_design)
+
+
+def _operator_cache_sizes(_):
+    return tuple(cache.cache_info().currsize for cache in _RUN_OPERATOR_CACHES)
+
+
+def test_forked_pool_workers_inherit_the_run_operators():
+    """Loading the run's config builds its mel filterbank, STFT window and
+    high-pass design into the caches the analysis reads, so each worker
+    forked after it finds them built; each once built its own three."""
+    if multiprocessing.get_start_method() != "fork":
+        pytest.skip("only a forked worker inherits the parent's caches")
+    for cache in _RUN_OPERATOR_CACHES:
+        cache.cache_clear()
+    load_run_config(None)
+    assert cli._run_pool(_operator_cache_sizes, [0, 1], 2) == [(None, (1, 1, 1))] * 2
 
 
 def test_dying_worker_fails_unfinished_entries(tmp_path, monkeypatch, capsys):
